@@ -10,19 +10,12 @@ from .branching import (
     CALIBRATED_ORIENTATION,
     NodeClassification,
     Orientation,
-    active_orientation,
     addable_nodes,
     classify_nodes,
-    double_restriction_lower_bound,
-    induction_end_dim,
     is_js,
     removable_nodes,
-    restriction_end_dim,
-    scan_orientation,
     tilde_e,
-    tilde_e_pow,
     tilde_f,
-    tilde_f_pow,
 )
 from .harness import (
     CHECK_ORDER,
@@ -67,7 +60,6 @@ from .partitions import (
     is_p_regular,
     parse_partition,
     residue,
-    residue_content,
     specht_dimension,
     validate_prime,
 )
@@ -90,7 +82,6 @@ __all__ = [
     "Partition",
     "ReasonCode",
     "Verdict",
-    "active_orientation",
     "addable_nodes",
     "attach_p_rim",
     "calibration_report",
@@ -98,13 +89,11 @@ __all__ = [
     "classify_nodes",
     "classify_tensor",
     "conjugate",
-    "double_restriction_lower_bound",
     "enumerate_js",
     "enumerate_partitions",
     "errors",
     "exponent_form",
     "format_partition",
-    "induction_end_dim",
     "is_dimension_one",
     "is_js",
     "is_js_arith",
@@ -121,15 +110,10 @@ __all__ = [
     "remove_p_rim",
     "removable_nodes",
     "residue",
-    "residue_content",
-    "restriction_end_dim",
     "run_all",
     "run_check",
-    "scan_orientation",
     "specht_dimension",
     "tilde_e",
-    "tilde_e_pow",
     "tilde_f",
-    "tilde_f_pow",
     "validate_prime",
 ]

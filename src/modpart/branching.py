@@ -11,8 +11,9 @@ Two scan orders exist in the wild, so both are implemented and the shipped
 default is fixed by calibration against the Mullineux cross-checks (see
 harness.calibration_report): BOTTOM_UP, i.e. the scan runs from the last row
 up to row 1, so a removable node cancels against the nearest surviving
-addable node strictly above it. The flipped orientation is kept only so the
-calibration experiment can demonstrate it fails.
+addable node strictly above it. The scan is an explicit argument of
+classify_nodes, tilde_e and tilde_f; the flipped orientation is kept only so
+the calibration experiment can demonstrate it fails.
 
 e_tilde removes the bottom (largest-row) normal i-node; f_tilde adds the top
 (smallest-row) conormal i-node. Both return None when the operator is absent
@@ -21,7 +22,6 @@ e_tilde removes the bottom (largest-row) normal i-node; f_tilde adds the top
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -40,22 +40,10 @@ class Orientation(Enum):
 # Frozen by the calibration experiment; see the module docstring.
 CALIBRATED_ORIENTATION = Orientation.BOTTOM_UP
 
-_active: list[Orientation] = [CALIBRATED_ORIENTATION]
-
 
 def active_orientation() -> Orientation:
-    """Orientation used when none is passed explicitly."""
-    return _active[-1]
-
-
-@contextmanager
-def scan_orientation(orientation: Orientation):
-    """Temporarily override the active orientation (calibration only)."""
-    _active.append(orientation)
-    try:
-        yield
-    finally:
-        _active.pop()
+    """Orientation used when none is passed explicitly (always the calibrated one)."""
+    return CALIBRATED_ORIENTATION
 
 
 @dataclass(frozen=True)
@@ -153,15 +141,13 @@ def _classify(parts: tuple[int, ...], p: int, orientation: Orientation):
 
 
 def classify_nodes(
-    lam: Partition, p: int, orientation: Orientation | None = None
+    lam: Partition, p: int, orientation: Orientation = CALIBRATED_ORIENTATION
 ) -> NodeClassification:
     """Classify every addable/removable node of lam by residue.
 
     Defined for any partition, p-regular or not.
     """
     validate_prime(p)
-    if orientation is None:
-        orientation = active_orientation()
     return _classify(lam.parts, p, orientation)
 
 
@@ -176,7 +162,7 @@ def _check_residue(i: int, p: int) -> None:
 
 
 def tilde_e(
-    lam: Partition, i: int, p: int, orientation: Orientation | None = None
+    lam: Partition, i: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATION
 ) -> Partition | None:
     """Remove the bottom normal i-node; None when there is none."""
     validate_prime(p)
@@ -189,7 +175,7 @@ def tilde_e(
 
 
 def tilde_f(
-    lam: Partition, i: int, p: int, orientation: Orientation | None = None
+    lam: Partition, i: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATION
 ) -> Partition | None:
     """Add the top conormal i-node; None when there is none."""
     validate_prime(p)
@@ -199,71 +185,6 @@ def tilde_f(
     if not nc.conormal[i]:
         return None
     return lam.add(nc.conormal[i][0])
-
-
-def tilde_e_pow(lam: Partition, i: int, r: int, p: int) -> Partition | None:
-    """r-fold application of tilde_e_i; None when eps_i < r; r = 0 is identity."""
-    if r < 0:
-        raise ValueError(f"power must be >= 0, got {r}")
-    validate_prime(p)
-    _check_residue(i, p)
-    _check_regular(lam, p, "tilde_e_pow")
-    if classify_nodes(lam, p).epsilon[i] < r:
-        return None
-    cur = lam
-    for _ in range(r):
-        nxt = tilde_e(cur, i, p)
-        assert nxt is not None
-        cur = nxt
-    return cur
-
-
-def tilde_f_pow(lam: Partition, i: int, r: int, p: int) -> Partition | None:
-    """r-fold application of tilde_f_i; None when phi_i < r; r = 0 is identity."""
-    if r < 0:
-        raise ValueError(f"power must be >= 0, got {r}")
-    validate_prime(p)
-    _check_residue(i, p)
-    _check_regular(lam, p, "tilde_f_pow")
-    if classify_nodes(lam, p).phi[i] < r:
-        return None
-    cur = lam
-    for _ in range(r):
-        nxt = tilde_f(cur, i, p)
-        assert nxt is not None
-        cur = nxt
-    return cur
-
-
-def restriction_end_dim(lam: Partition, p: int) -> int:
-    """Sum of eps_i: endomorphism dimension of the one-step restriction."""
-    _check_regular(lam, p, "restriction_end_dim")
-    return sum(classify_nodes(lam, p).epsilon)
-
-
-def induction_end_dim(lam: Partition, p: int) -> int:
-    """Sum of phi_i: endomorphism dimension of the one-step induction."""
-    _check_regular(lam, p, "induction_end_dim")
-    return sum(classify_nodes(lam, p).phi)
-
-
-def double_restriction_lower_bound(lam: Partition, p: int) -> int:
-    """Lower bound for the endomorphism dimension two restriction steps down.
-
-    sum_i eps_i(lam) * (eps_i(lam) - 1)
-      + sum_{j: eps_j > 0} sum_{i != j} eps_i(tilde_e_j(lam)).
-    """
-    _check_regular(lam, p, "double_restriction_lower_bound")
-    eps = classify_nodes(lam, p).epsilon
-    total = sum(e * (e - 1) for e in eps)
-    for j in range(p):
-        if eps[j] == 0:
-            continue
-        child = tilde_e(lam, j, p)
-        assert child is not None
-        child_eps = classify_nodes(child, p).epsilon
-        total += sum(child_eps[i] for i in range(p) if i != j)
-    return total
 
 
 def is_js(lam: Partition, p: int) -> bool:

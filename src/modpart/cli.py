@@ -11,16 +11,10 @@ import argparse
 import json
 import sys
 
-from .branching import CALIBRATED_ORIENTATION, Orientation, classify_nodes, scan_orientation
+from .branching import classify_nodes
 from .errors import ModpartError
-from .harness import (
-    CHECK_ORDER,
-    DEFAULT_CAP,
-    calibration_report,
-    run_all,
-    run_check,
-)
-from .js import enumerate_js, is_js_arith
+from .harness import CHECK_ORDER, DEFAULT_CAP, calibration_report, run_all
+from .js import enumerate_js
 from .labels import classify_tensor, make_label
 from .mullineux import is_mullineux_fixed, mullineux, mullineux_symbol
 from .partitions import (
@@ -30,23 +24,10 @@ from .partitions import (
     specht_dimension,
 )
 
-_ORIENTATIONS = {
-    "auto": None,
-    "top-down": Orientation.TOP_DOWN,
-    "bottom-up": Orientation.BOTTOM_UP,
-}
 
-
-def _add_common(sub: argparse.ArgumentParser, *, orientation: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=int, default=5, help="odd prime characteristic (default 5)")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    if orientation:
-        sub.add_argument(
-            "--orientation",
-            choices=sorted(_ORIENTATIONS),
-            default="auto",
-            help="signature scan orientation (calibration experiments only; default: calibrated)",
-        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,11 +40,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("mull", help="Mullineux image of a p-regular partition")
     s.add_argument("partition", help='partition, e.g. "8,2" or "4^2,1^3" or []')
-    _add_common(s, orientation=True)
+    _add_common(s)
 
     s = subs.add_parser("nodes", help="addable/removable node classification by residue")
     s.add_argument("partition")
-    _add_common(s, orientation=True)
+    _add_common(s)
 
     s = subs.add_parser("js", help="list JS partitions of n")
     s.add_argument("--n", type=int, required=True)
@@ -86,41 +67,40 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--checks", help=f"comma-separated ids (default: all of {','.join(CHECK_ORDER)})")
     s.add_argument("--max-n", type=int, help="cap every sweep at this n")
     s.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max counterexamples kept per check")
-    _add_common(s, orientation=True)
+    _add_common(s)
 
     s = subs.add_parser("report", help="run everything and print JSON lines (calibration record first)")
     s.add_argument("--max-n", type=int, help="cap every sweep at this n")
     s.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max counterexamples kept per check")
-    _add_common(s, orientation=True)
+    _add_common(s)
 
     return parser
 
 
 def _cmd_mull(args) -> int:
     lam = parse_partition(args.partition)
-    with scan_orientation(_ORIENTATIONS[args.orientation] or CALIBRATED_ORIENTATION):
-        res = mullineux(lam, args.p)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "partition": str(lam),
-                        "p": args.p,
-                        "image": str(res.image),
-                        "fixed": res.image == lam,
-                        "trace": list(res.trace),
-                        "symbol": [list(pair) for pair in mullineux_symbol(lam, args.p)] if lam else [],
-                    }
-                )
+    res = mullineux(lam, args.p)
+    if args.json:
+        print(
+            json.dumps(
+                {
+                    "partition": str(lam),
+                    "p": args.p,
+                    "image": str(res.image),
+                    "fixed": res.image == lam,
+                    "trace": list(res.trace),
+                    "symbol": [list(pair) for pair in mullineux_symbol(lam, args.p)] if lam else [],
+                }
             )
-        else:
-            print(res.image)
+        )
+    else:
+        print(res.image)
     return 0
 
 
 def _cmd_nodes(args) -> int:
     lam = parse_partition(args.partition)
-    nc = classify_nodes(lam, args.p, orientation=_ORIENTATIONS[args.orientation])
+    nc = classify_nodes(lam, args.p)
     if args.json:
         print(json.dumps(nc.to_json_dict()))
         return 0
@@ -205,12 +185,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     checks = tuple(t.strip() for t in args.checks.split(",") if t.strip()) if args.checks else None
-    reports = run_all(
-        max_n=args.max_n,
-        checks=checks,
-        cap=args.cap,
-        orientation=_ORIENTATIONS[args.orientation],
-    )
+    reports = run_all(max_n=args.max_n, checks=checks, cap=args.cap)
     if args.json:
         for rep in reports:
             print(rep.to_json_line())
@@ -240,7 +215,7 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     calib = calibration_report(n_max=min(12, args.max_n) if args.max_n is not None else 12)
     print(json.dumps(calib, separators=(",", ":")))
-    reports = run_all(max_n=args.max_n, cap=args.cap, orientation=_ORIENTATIONS[args.orientation])
+    reports = run_all(max_n=args.max_n, cap=args.cap)
     for rep in reports:
         print(rep.to_json_line())
     bad = (not calib["unique"]) or any(not rep.passed for rep in reports)

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .branching import (
@@ -30,7 +30,6 @@ from .branching import (
     classify_nodes,
     is_js,
     removable_nodes,
-    scan_orientation,
     tilde_e,
     tilde_f,
 )
@@ -289,14 +288,13 @@ def _check_jseq(n: int, p: int):
     return inst, cxs, None
 
 
-def _check_mullx(n: int, p: int):
+def _check_mullx(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATION):
     """Recursion route == symbol route; involution; conjugation for p > n; choice-free."""
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
         inst += 1
         try:
-            rec = mullineux(lam, p)
-            img = rec.image
+            img = mullineux(lam, p, orientation=orientation).image
             problems = []
             sym = mullineux_via_symbol(lam, p)
             if img != sym:
@@ -305,11 +303,12 @@ def _check_mullx(n: int, p: int):
                 problems.append(f"|M(lam)|={img.size}")
             if not is_p_regular(img, p):
                 problems.append(f"M(lam)={img} is p-singular")
-            if mullineux_image(img, p) != lam:
-                problems.append(f"M(M(lam))={mullineux_image(img, p)}")
+            back = mullineux(img, p, orientation=orientation).image
+            if back != lam:
+                problems.append(f"M(M(lam))={back}")
             if p > n and img != conjugate(lam):
                 problems.append(f"p>n but M(lam)={img} != conjugate {conjugate(lam)}")
-            if mullineux(lam, p, residue_choice="largest").image != img:
+            if mullineux(lam, p, residue_choice="largest", orientation=orientation).image != img:
                 problems.append("depends on the residue choice")
             if problems:
                 cxs.append(_cx(p, n, lam, "; ".join(problems), "all Mullineux cross-checks"))
@@ -328,13 +327,13 @@ def _two_row_closed(n: int, i: int) -> Partition:
     return Partition([x for x in [a + 1] * b + [a] * (4 - b) if x > 0] + [1] * i)
 
 
-def _check_closed(n: int, p: int):
+def _check_closed(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATION):
     """Mullineux images of (n) and, at p=5 for n>=12, of (n-i,i) match closed forms."""
     inst, cxs = 0, []
     if n >= 1:
         inst += 1
         try:
-            img = mullineux_image(Partition((n,)), p)
+            img = mullineux(Partition((n,)), p, orientation=orientation).image
             want = _one_row_closed(n, p)
             if img != want:
                 cxs.append(_cx(p, n, Partition((n,)), str(img), str(want)))
@@ -346,7 +345,7 @@ def _check_closed(n: int, p: int):
             lam = Partition((n - i, i))
             want = _two_row_closed(n, i)
             try:
-                img = mullineux_image(lam, 5)
+                img = mullineux(lam, 5, orientation=orientation).image
                 if img != want:
                     cxs.append(_cx(5, n, lam, str(img), str(want)))
             except ModpartError as e:
@@ -491,52 +490,25 @@ def _merge_details(a: dict | None, b: dict | None) -> dict | None:
     return out
 
 
-def run_check(
-    check_id: str,
-    *,
-    n_min: int | None = None,
-    n_max: int | None = None,
-    primes: tuple[int, ...] | None = None,
-    cap: int = DEFAULT_CAP,
-    orientation: Orientation | None = None,
-    ceiling: int = DEFAULT_CEILING,
+def _sweep(
+    check_id: str, fn: CheckFn, lo: int, hi: int, primes: tuple[int, ...], cap: int
 ) -> LemmaReport:
-    """Run one check over its sweep (defaults from the registry).
-
-    Bounds are validated against the ceiling; unknown ids and bad sweeps are
-    configuration errors. An empty sweep passes vacuously with 0 instances.
-    """
-    if check_id not in CHECKS:
-        raise ValueError(f"unknown check id {check_id!r}; known ids: {', '.join(CHECK_ORDER)}")
-    check = CHECKS[check_id]
-    lo = check.n_min if n_min is None else n_min
-    hi = check.n_max if n_max is None else n_max
-    ps = check.primes if primes is None else tuple(sorted({validate_prime(p) for p in primes}))
-    if lo < 0:
-        raise ValueError(f"n_min must be >= 0, got {lo}")
-    if hi > ceiling:
-        raise SweepTooLarge(f"n_max={hi} exceeds the sweep ceiling {ceiling}")
-    if cap < 0:
-        raise ValueError(f"counterexample cap must be >= 0, got {cap}")
+    """Aggregate fn over the cells n in [lo, hi], p in primes into one report."""
     start = time.perf_counter()
     instances, total, kept = 0, 0, []
     details: dict | None = None
-    ctx = scan_orientation(orientation) if orientation is not None else nullcontext()
-    with ctx:
-        for n in range(lo, hi + 1):
-            for p in ps:
-                inst, bad, det = check.fn(n, p)
-                instances += inst
-                total += len(bad)
-                for b in bad:
-                    if len(kept) < cap:
-                        kept.append(b)
-                details = _merge_details(details, det)
+    for n in range(lo, hi + 1):
+        for p in primes:
+            inst, bad, det = fn(n, p)
+            instances += inst
+            total += len(bad)
+            kept.extend(bad[: cap - len(kept)])
+            details = _merge_details(details, det)
     return LemmaReport(
         id=check_id,
         n_min=lo,
         n_max=hi,
-        primes=ps,
+        primes=primes,
         instances=instances,
         counterexamples=kept,
         counterexamples_total=total,
@@ -546,13 +518,39 @@ def run_check(
     )
 
 
+def run_check(
+    check_id: str,
+    *,
+    n_min: int | None = None,
+    n_max: int | None = None,
+    primes: tuple[int, ...] | None = None,
+    cap: int = DEFAULT_CAP,
+) -> LemmaReport:
+    """Run one check over its sweep (defaults from the registry).
+
+    Bounds are validated against DEFAULT_CEILING; unknown ids and bad sweeps
+    are configuration errors. An empty sweep passes vacuously with 0 instances.
+    """
+    if check_id not in CHECKS:
+        raise ValueError(f"unknown check id {check_id!r}; known ids: {', '.join(CHECK_ORDER)}")
+    check = CHECKS[check_id]
+    lo = check.n_min if n_min is None else n_min
+    hi = check.n_max if n_max is None else n_max
+    ps = check.primes if primes is None else tuple(sorted({validate_prime(p) for p in primes}))
+    if lo < 0:
+        raise ValueError(f"n_min must be >= 0, got {lo}")
+    if hi > DEFAULT_CEILING:
+        raise SweepTooLarge(f"n_max={hi} exceeds the sweep ceiling {DEFAULT_CEILING}")
+    if cap < 0:
+        raise ValueError(f"counterexample cap must be >= 0, got {cap}")
+    return _sweep(check_id, check.fn, lo, hi, ps, cap)
+
+
 def run_all(
     *,
     max_n: int | None = None,
     checks: tuple[str, ...] | None = None,
     cap: int = DEFAULT_CAP,
-    orientation: Orientation | None = None,
-    ceiling: int = DEFAULT_CEILING,
 ) -> list[LemmaReport]:
     """Run the registry in canonical order; returns one report per check run.
 
@@ -569,7 +567,7 @@ def run_all(
         if cid not in wanted:
             continue
         hi = CHECKS[cid].n_max if max_n is None else min(CHECKS[cid].n_max, max_n)
-        rep = run_check(cid, n_max=hi, cap=cap, orientation=orientation, ceiling=ceiling)
+        rep = run_check(cid, n_max=hi, cap=cap)
         reports.append(rep)
         if cid in ("MULLX", "CLOSED") and not rep.passed:
             break
@@ -610,12 +608,15 @@ def calibration_report(n_max: int = 12) -> dict:
     """Run the orientation experiment: MULLX and CLOSED under both scans.
 
     Exactly one orientation must pass both; it must be the calibrated one.
+    This is the only caller that passes a scan other than the calibrated one.
     """
     per_orientation: dict[str, dict] = {}
     for o in (Orientation.BOTTOM_UP, Orientation.TOP_DOWN):
         entry = {}
         for cid in ("MULLX", "CLOSED"):
-            rep = run_check(cid, n_max=min(n_max, CHECKS[cid].n_max), cap=3, orientation=o)
+            check = CHECKS[cid]
+            fn = partial(check.fn, orientation=o)
+            rep = _sweep(cid, fn, check.n_min, min(n_max, check.n_max), check.primes, cap=3)
             entry[cid] = {
                 "pass": rep.passed,
                 "instances": rep.instances,

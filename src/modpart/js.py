@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .branching import is_js  # noqa: F401  (re-exported: the signature-side twin)
 from .errors import EmptyPartition, NotPRegular
 from .mullineux import is_mullineux_fixed
 from .partitions import Partition, enumerate_partitions, exponent_form, is_p_regular, validate_prime

@@ -28,7 +28,6 @@ from .errors import (
     SignRequired,
     UnsupportedCharacteristic,
 )
-from .js import is_js_arith  # noqa: F401  (convenience re-export for callers)
 from .mullineux import canonical_label, is_mullineux_fixed, mullineux_image
 from .partitions import Partition
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .branching import Orientation, active_orientation, classify_nodes, tilde_e, tilde_f
+from .branching import CALIBRATED_ORIENTATION, Orientation, classify_nodes, tilde_e, tilde_f
 from .errors import InternalInconsistency, NotPRegular, ReconstructionFailure
 from .partitions import Partition, is_p_regular, validate_prime
 
@@ -69,18 +69,22 @@ def _mull(parts: tuple[int, ...], p: int, choice: ResidueChoice, orientation: Or
 
 
 def mullineux(
-    lam: Partition, p: int, residue_choice: ResidueChoice = "smallest"
+    lam: Partition,
+    p: int,
+    residue_choice: ResidueChoice = "smallest",
+    orientation: Orientation = CALIBRATED_ORIENTATION,
 ) -> MullineuxResult:
     """Mullineux image of lam via the operator recursion.
 
     residue_choice picks which normal residue drives each recursion step;
     the image is independent of it (cross-checked by the harness), so only
-    "smallest" (default) and "largest" are offered.
+    "smallest" (default) and "largest" are offered. orientation is the
+    signature scan; only the calibration experiment passes the flipped one.
     """
     _check_input(lam, p)
     if residue_choice not in ("smallest", "largest"):
         raise ValueError(f"residue_choice must be 'smallest' or 'largest', got {residue_choice!r}")
-    parts, trace = _mull(lam.parts, p, residue_choice, active_orientation())
+    parts, trace = _mull(lam.parts, p, residue_choice, orientation)
     return MullineuxResult(image=Partition(parts), trace=trace)
 
 

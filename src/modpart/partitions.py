@@ -116,10 +116,6 @@ class Partition:
         """Length of row i (1-based), 0 beyond the last row."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
-    def contains(self, node: Node) -> bool:
-        r, c = node
-        return 1 <= r <= len(self.parts) and 1 <= c <= self.parts[r - 1]
-
     def remove(self, node: Node) -> "Partition":
         """Partition with one removable node deleted."""
         r, c = node
@@ -217,16 +213,6 @@ def residue(node: Node, p: int) -> int:
     validate_prime(p)
     r, c = node
     return (c - r) % p
-
-
-def residue_content(lam: Partition, p: int) -> tuple[int, ...]:
-    """How many nodes of each residue the diagram has (tuple of length p)."""
-    validate_prime(p)
-    counts = [0] * p
-    for r, length in enumerate(lam.parts, start=1):
-        for c in range(1, length + 1):
-            counts[(c - r) % p] += 1
-    return tuple(counts)
 
 
 def enumerate_partitions(

@@ -16,19 +16,13 @@ from modpart import (
     Partition,
     addable_nodes,
     classify_nodes,
-    double_restriction_lower_bound,
     enumerate_partitions,
-    induction_end_dim,
     is_js,
     parse_partition,
     removable_nodes,
     residue,
-    restriction_end_dim,
-    scan_orientation,
     tilde_e,
-    tilde_e_pow,
     tilde_f,
-    tilde_f_pow,
 )
 from modpart.errors import EmptyPartition, NotPRegular
 
@@ -151,16 +145,6 @@ class TestOperators:
         assert tilde_f(EMPTY, 0, 5) == Partition((1,))
         assert tilde_f(EMPTY, 1, 5) is None
 
-    def test_pow_semantics(self):
-        lam = parse_partition("8,2")
-        assert tilde_e_pow(lam, 0, 0, 5) == lam
-        assert tilde_e_pow(lam, 0, 1, 5) == Partition((8, 1))
-        assert tilde_e_pow(lam, 0, 2, 5) is None  # eps_0 = 1 < 2
-        assert tilde_f_pow(EMPTY, 0, 1, 5) == Partition((1,))
-        assert tilde_f_pow(lam, 3, 2, 5) == Partition((9, 2, 1))
-        with pytest.raises(ValueError):
-            tilde_e_pow(lam, 0, -1, 5)
-
     def test_residue_range_checked(self):
         with pytest.raises(ValueError):
             tilde_e(parse_partition("3,1"), 5, 5)
@@ -178,32 +162,6 @@ class TestOperators:
                         assert tilde_f(tilde_e(lam, i, 5), i, 5) == lam
                     if nc.phi[i]:
                         assert tilde_e(tilde_f(lam, i, 5), i, 5) == lam
-
-    def test_pow_agrees_with_iteration(self):
-        lam = parse_partition("9,1")
-        nc = classify_nodes(lam, 5)
-        for i in range(5):
-            r = nc.epsilon[i]
-            cur = lam
-            for _ in range(r):
-                cur = tilde_e(cur, i, 5)
-            assert tilde_e_pow(lam, i, r, 5) == cur
-
-
-class TestEndomorphismCounts:
-    def test_restriction_fixtures(self):
-        assert restriction_end_dim(parse_partition("8,2"), 5) == 2
-        assert restriction_end_dim(parse_partition("6"), 5) == 1
-        assert restriction_end_dim(Partition((1,)), 5) == 1
-
-    def test_induction_fixtures(self):
-        assert induction_end_dim(parse_partition("8,2"), 5) == 3
-        assert induction_end_dim(EMPTY, 5) == 1
-
-    def test_double_restriction_bound_fixtures(self):
-        assert double_restriction_lower_bound(parse_partition("8,2"), 5) == 4
-        assert double_restriction_lower_bound(parse_partition("6"), 5) == 1
-        assert double_restriction_lower_bound(Partition((1,)), 5) == 0
 
 
 class TestJsSignature:
@@ -224,12 +182,12 @@ class TestJsSignature:
 
 class TestOrientationContext:
     def test_override_and_restore(self):
+        # an explicit flipped scan leaves the default call untouched
         lam = parse_partition("2,1")
         assert classify_nodes(lam, 3).epsilon == (0, 1, 0)
-        with scan_orientation(Orientation.TOP_DOWN):
-            flipped = classify_nodes(lam, 3)
-            assert flipped.orientation is Orientation.TOP_DOWN
-            assert flipped.epsilon != (0, 1, 0)
+        flipped = classify_nodes(lam, 3, Orientation.TOP_DOWN)
+        assert flipped.orientation is Orientation.TOP_DOWN
+        assert flipped.epsilon != (0, 1, 0)
         assert classify_nodes(lam, 3).epsilon == (0, 1, 0)
 
     def test_orientations_mirror_counts(self):

@@ -169,10 +169,8 @@ class TestVerify:
         assert code == 0
         assert [json.loads(x)["id"] for x in out.strip().splitlines()] == ["L52", "JSEQ"]
 
-    def test_flipped_orientation_fails_gate(self, capsys):
-        code, out, err = run_cli(
-            capsys, "verify", "--max-n", "6", "--orientation", "top-down"
-        )
+    def test_flipped_orientation_fails_gate(self, capsys, flipped_scan):
+        code, out, err = run_cli(capsys, "verify", "--max-n", "6")
         assert code == 1
         assert "FAILED: MULLX" in err
         assert "calibration gate failed" in err

@@ -8,7 +8,6 @@ from modpart import (
     CHECK_ORDER,
     CHECKS,
     LemmaReport,
-    Orientation,
     calibration_report,
     merge_reports,
     run_all,
@@ -70,8 +69,6 @@ class TestRunCheck:
     def test_ceiling(self):
         with pytest.raises(SweepTooLarge):
             run_check("L52", n_max=41)
-        rep = run_check("L52", n_max=41, ceiling=41, n_min=41, primes=(3,))
-        assert rep.passed  # explicit ceiling raise is allowed
 
     def test_empty_sweep_passes_vacuously(self):
         rep = run_check("L47", n_min=5, n_max=4)
@@ -84,8 +81,8 @@ class TestRunCheck:
         assert rep.id == "L52" and rep.primes == (3, 5, 7)
         assert rep.instances > 0
 
-    def test_cap_truncates_but_counts_all(self):
-        rep = run_check("MULLX", n_max=6, cap=3, orientation=Orientation.TOP_DOWN)
+    def test_cap_truncates_but_counts_all(self, flipped_scan):
+        rep = run_check("MULLX", n_max=6, cap=3)
         assert not rep.passed
         assert len(rep.counterexamples) == 3
         assert rep.counterexamples_total > 3
@@ -131,13 +128,13 @@ class TestReports:
             again = LemmaReport.from_json_line(rep.to_json_line())
             assert again == rep
 
-    def test_deterministic_modulo_elapsed(self):
-        a = run_check("MULLX", n_max=7, cap=4, orientation=Orientation.TOP_DOWN)
-        b = run_check("MULLX", n_max=7, cap=4, orientation=Orientation.TOP_DOWN)
+    def test_deterministic_modulo_elapsed(self, flipped_scan):
+        a = run_check("MULLX", n_max=7, cap=4)
+        b = run_check("MULLX", n_max=7, cap=4)
         assert _no_elapsed(a.to_json_dict()) == _no_elapsed(b.to_json_dict())
 
-    def test_counterexample_payload_shape(self):
-        rep = run_check("CLOSED", n_max=5, orientation=Orientation.TOP_DOWN)
+    def test_counterexample_payload_shape(self, flipped_scan):
+        rep = run_check("CLOSED", n_max=5)
         assert not rep.passed
         cx = rep.counterexamples[0]
         assert set(cx) == {"p", "n", "partition", "observed", "expected"}
@@ -153,8 +150,8 @@ class TestSharding:
         merged = merge_reports(parts)
         assert _no_elapsed(merged.to_json_dict()) == _no_elapsed(whole.to_json_dict())
 
-    def test_merge_equals_unsharded_with_counterexamples(self):
-        kw = dict(orientation=Orientation.TOP_DOWN, cap=25)
+    def test_merge_equals_unsharded_with_counterexamples(self, flipped_scan):
+        kw = dict(cap=25)
         whole = run_check("MULLX", n_min=0, n_max=6, **kw)
         merged = merge_reports(
             [
@@ -194,8 +191,8 @@ class TestRunAll:
         with pytest.raises(ValueError):
             run_all(max_n=4, checks=("L52", "BOGUS"))
 
-    def test_gate_aborts_on_miscalibration(self):
-        reports = run_all(max_n=6, orientation=Orientation.TOP_DOWN)
+    def test_gate_aborts_on_miscalibration(self, flipped_scan):
+        reports = run_all(max_n=6)
         assert [r.id for r in reports] == ["MULLX"]
         assert not reports[0].passed
 
@@ -220,3 +217,48 @@ class TestCalibration:
     def test_json_serializable(self):
         line = json.dumps(calibration_report(n_max=6))
         assert json.loads(line)["id"] == "CALIBRATION"
+
+    def test_full_record_at_12(self):
+        flipped_scan_error = (
+            "InternalInconsistency: nonempty p-regular partition 3 has no normal "
+            "node at p=3 (top-down scan)"
+        )
+        assert calibration_report(n_max=12) == {
+            "id": "CALIBRATION",
+            "n_max": 12,
+            "orientations": {
+                "bottom-up": {
+                    "MULLX": {"pass": True, "instances": 621, "counterexamples_total": 0, "first_counterexample": None},
+                    "CLOSED": {"pass": True, "instances": 40, "counterexamples_total": 0, "first_counterexample": None},
+                },
+                "top-down": {
+                    "MULLX": {
+                        "pass": False,
+                        "instances": 621,
+                        "counterexamples_total": 478,
+                        "first_counterexample": {
+                            "p": 3,
+                            "n": 3,
+                            "partition": "3",
+                            "observed": flipped_scan_error,
+                            "expected": "no exception",
+                        },
+                    },
+                    "CLOSED": {
+                        "pass": False,
+                        "instances": 40,
+                        "counterexamples_total": 28,
+                        "first_counterexample": {
+                            "p": 3,
+                            "n": 3,
+                            "partition": "3",
+                            "observed": flipped_scan_error,
+                            "expected": "2,1",
+                        },
+                    },
+                },
+            },
+            "passing": ["bottom-up"],
+            "calibrated": "bottom-up",
+            "unique": True,
+        }

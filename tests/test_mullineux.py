@@ -24,7 +24,6 @@ from modpart import (
     mullineux_via_symbol,
     parse_partition,
     remove_p_rim,
-    scan_orientation,
     tilde_f,
 )
 from modpart.errors import (
@@ -183,6 +182,5 @@ class TestContracts:
 
     def test_flipped_orientation_breaks_the_map(self):
         # under the wrong scan the recursion cannot even get started on (3) at p=3
-        with scan_orientation(Orientation.TOP_DOWN):
-            with pytest.raises(InternalInconsistency):
-                mullineux_image(parse_partition("3"), 3)
+        with pytest.raises(InternalInconsistency):
+            mullineux(parse_partition("3"), 3, orientation=Orientation.TOP_DOWN)

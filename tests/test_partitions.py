@@ -21,7 +21,6 @@ from modpart import (
     is_p_regular,
     parse_partition,
     residue,
-    residue_content,
     specht_dimension,
     validate_prime,
 )
@@ -92,7 +91,6 @@ class TestPartitionType:
         assert lam.size == 10
         assert lam.height == 2
         assert lam.row(1) == 8 and lam.row(2) == 2 and lam.row(3) == 0
-        assert lam.contains((1, 8)) and not lam.contains((1, 9))
         assert list(lam) == [8, 2]
         assert lam[0] == 8
 
@@ -173,15 +171,6 @@ class TestResidues:
         assert residue((2, 1), 5) == 4
         assert residue((3, 1), 5) == 3
         assert residue((1, 1), 5) == 0
-
-    def test_residue_content(self):
-        assert residue_content(Partition((2, 2)), 5) == (2, 1, 0, 0, 1)
-        assert residue_content(Partition((6,)), 5) == (2, 1, 1, 1, 1)
-        assert residue_content(EMPTY, 5) == (0, 0, 0, 0, 0)
-
-    def test_content_counts_all_nodes(self):
-        lam = Partition((5, 3, 1))
-        assert sum(residue_content(lam, 3)) == lam.size
 
 
 class TestPrimeValidation:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and, for verify/report, no counterexamples), 1 a check
 found counterexamples, 2 a usage or contract error (bad partition syntax,
-singular label, wrong prime, dimension-one factor, oversized sweep, ...).
+singular label, wrong prime, dimension-one factor, oversized sweep, ...) or an
+input too large for the recursive Mullineux map (RecursionError).
 """
 
 from __future__ import annotations
@@ -243,6 +244,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError as e:
+        print(f"error: RecursionError: {e}", file=sys.stderr)
         return 2
 
 

@@ -175,10 +175,19 @@ def _check_l17(n: int, p: int):
 
 
 def _check_l23(n: int, p: int):
-    """Self-Mullineux JS partitions: n == h^2 (mod p); at p=5 and n>=5 also h>=4."""
+    """Self-Mullineux JS partitions: n == h^2 (mod p); at p=5 and n>=5 also h>=4.
+
+    Visits only the partitions enumerate_js generates from the arithmetic
+    congruence, so the cost follows the number of JS partitions, and re-checks
+    each with the signature test is_js: a generated partition that is not JS
+    by its normal nodes is a counterexample.
+    """
     inst, cxs = 0, []
-    for lam in enumerate_partitions(n, p, regular_only=True):
-        if not lam or not is_js(lam, p) or not is_mullineux_fixed(lam, p):
+    for lam in enumerate_js(n, p):
+        if not is_js(lam, p):
+            cxs.append(_cx(p, n, lam, "arithmetic JS, signature not JS", "exactly one normal node"))
+            continue
+        if not is_mullineux_fixed(lam, p):
             continue
         inst += 1
         h = lam.height

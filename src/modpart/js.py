@@ -8,6 +8,11 @@ lam is JS exactly when
 A single run (h = 1) satisfies this vacuously. The branching module offers the
 signature-side definition (is_js: one normal node); the two are cross-checked
 exhaustively by the harness and must never be merged into one code path.
+
+enumerate_js generates the exponent forms directly under this congruence,
+run by run, instead of filtering all partitions of n: its cost follows the
+number of JS partitions rather than p(n). Callers that need the signature
+side (the L23 check) apply is_js to each generated partition themselves.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Iterator
 
 from .errors import EmptyPartition, NotPRegular
 from .mullineux import is_mullineux_fixed
-from .partitions import Partition, enumerate_partitions, exponent_form, is_p_regular, validate_prime
+from .partitions import Partition, exponent_form, is_p_regular, validate_prime
 
 
 def is_js_arith(lam: Partition, p: int) -> bool:
@@ -35,10 +40,41 @@ def is_js_arith(lam: Partition, p: int) -> bool:
 
 def enumerate_js(n: int, p: int, fixed_only: bool = False) -> Iterator[Partition]:
     """All p-regular JS partitions of n, descending lex; optionally only the
-    Mullineux-fixed ones."""
+    Mullineux-fixed ones.
+
+    Generated from the congruence, top run first: a_1 descends and, for each,
+    b_1 descends from min(p - 1, n // a_1); every later run takes the next
+    smaller part a_{k+1} whose multiplicity the congruence fixes in 1..p-1. A
+    branch stops once runs of parts <= a, each at most p - 1 long, can no
+    longer fill the rest. This order is descending lex, and the work grows
+    with the output, not with the number of partitions of n. n = 0 yields
+    nothing.
+    """
     validate_prime(p)
-    for lam in enumerate_partitions(n, p, regular_only=True):
-        if not lam:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    for a in range(n, 0, -1):
+        if (p - 1) * a * (a + 1) // 2 < n:
+            break
+        for b in range(min(p - 1, n // a), 0, -1):
+            for parts in _later_runs([a] * b, n - a * b, a, b, p):
+                lam = Partition(parts)
+                if not fixed_only or is_mullineux_fixed(lam, p):
+                    yield lam
+
+
+def _later_runs(parts: list[int], rest: int, a: int, b: int, p: int) -> Iterator[tuple[int, ...]]:
+    """Complete parts, whose last run is a^b, to every JS partition of size
+    sum(parts) + rest, in descending lex order."""
+    if rest == 0:
+        yield tuple(parts)
+        return
+    for c in range(min(a - 1, rest), 0, -1):
+        if (p - 1) * c * (c + 1) // 2 < rest:
+            break
+        m = (c - a - b) % p
+        if m == 0 or m * c > rest:
             continue
-        if is_js_arith(lam, p) and (not fixed_only or is_mullineux_fixed(lam, p)):
-            yield lam
+        parts.extend([c] * m)
+        yield from _later_runs(parts, rest - m * c, c, m, p)
+        del parts[-m:]

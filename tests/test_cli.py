@@ -1,11 +1,15 @@
 """CLI: golden outputs, JSON agreement with the library, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from modpart import classify_nodes, classify_tensor, enumerate_partitions, make_label, parse_partition
 from modpart.cli import main
+
+REFERENCE_REPORT = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "report-default.jsonl"
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +37,14 @@ class TestMull:
         code, out, _ = run_cli(capsys, "mull", "2^2,1^2", "--p", "5")
         assert code == 0
         assert out.strip() == "6"
+
+    def test_recursion_depth_is_exit_2(self, capsys):
+        # the recursive route runs out of Python frames on a 1500-node row
+        code, out, err = run_cli(capsys, "mull", "1500")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: RecursionError: ")
+        assert "Traceback" not in err
 
     def test_singular_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "mull", "2,2,2", "--p", "3")
@@ -183,6 +195,13 @@ class TestVerify:
 
 
 class TestReport:
+    def test_default_report_matches_reference(self, capsys):
+        # the committed reference of the benchmark's report-default workload;
+        # elapsed is the only field outside the determinism contract
+        code, out, _ = run_cli(capsys, "report")
+        assert code == 0
+        assert re.sub(r',"elapsed":[-+.0-9eE]+', "", out) == REFERENCE_REPORT.read_text()
+
     def test_calibration_first_then_checks(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--max-n", "6")
         assert code == 0

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+import modpart.harness as harness
 from modpart import (
     CHECK_ORDER,
     CHECKS,
     LemmaReport,
+    Partition,
     calibration_report,
     merge_reports,
     run_all,
@@ -86,6 +88,23 @@ class TestRunCheck:
         assert not rep.passed
         assert len(rep.counterexamples) == 3
         assert rep.counterexamples_total > 3
+
+    def test_l23_rechecks_generated_partitions_by_signature(self, monkeypatch):
+        # L23 takes its candidates from the arithmetic generator; one that is
+        # not JS by its normal nodes is a counterexample, not a skip
+        monkeypatch.setattr(harness, "enumerate_js", lambda n, p: iter([Partition((8, 2))]))
+        rep = run_check("L23", n_min=10, n_max=10, primes=(5,))
+        assert not rep.passed
+        assert rep.instances == 0
+        assert rep.counterexamples == [
+            {
+                "p": 5,
+                "n": 10,
+                "partition": "8,2",
+                "observed": "arithmetic JS, signature not JS",
+                "expected": "exactly one normal node",
+            }
+        ]
 
     def test_bad_primes_rejected(self):
         from modpart.errors import OddPrimeRequired

@@ -17,7 +17,7 @@ from modpart import (
     is_mullineux_fixed,
     parse_partition,
 )
-from modpart.errors import EmptyPartition, NotPRegular
+from modpart.errors import EmptyPartition, NotPRegular, OddPrimeRequired
 
 
 class TestArithmetic:
@@ -85,3 +85,39 @@ class TestEnumeration:
     def test_descending_lex(self):
         items = list(enumerate_js(12, 5))
         assert all(a > b for a, b in zip(items, items[1:]))
+
+
+class TestGenerator:
+    """enumerate_js walks exponent forms under the congruence; filters over
+    all p-regular partitions are its oracles."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_equals_signature_filter(self, p):
+        # L23's range: its counts rest on generation finding every JS partition
+        for n in range(0, 31):
+            want = [
+                lam for lam in enumerate_partitions(n, p, regular_only=True) if lam and is_js(lam, p)
+            ]
+            assert list(enumerate_js(n, p)) == want, n
+
+    def test_ceiling_equals_arithmetic_filter(self):
+        want = [lam for lam in enumerate_partitions(40, 5, regular_only=True) if is_js_arith(lam, 5)]
+        assert len(want) == 209
+        assert list(enumerate_js(40, 5)) == want
+
+    def test_edges(self):
+        assert list(enumerate_js(0, 5)) == []
+        with pytest.raises(ValueError):
+            list(enumerate_js(-1, 5))
+        with pytest.raises(OddPrimeRequired):
+            list(enumerate_js(6, 4))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_large_n_is_js_both_ways(self, p):
+        items = list(enumerate_js(100, p))
+        assert items
+        assert all(a > b for a, b in zip(items, items[1:]))
+        for lam in items:
+            assert lam.size == 100
+            assert is_js(lam, p), lam
+            assert is_js_arith(lam, p), lam

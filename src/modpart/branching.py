@@ -7,6 +7,13 @@ surviving addable node later in the scan. Surviving removable nodes are the
 normal i-nodes (count eps_i), surviving addable nodes the conormal i-nodes
 (count phi_i).
 
+The reduction is one pass over the rows in scan order, read straight from the
+part tuple, with one bracket stack per residue (Kleshchev's signature rule):
+a removable node is pushed, an addable node pops the nearest pushed node of
+its residue or else survives as conormal; what stays on a stack is normal.
+Row r holds at most the removable node (r, x) and the addable node
+(r, x + 1), whose residues differ by one, so no sorting or merging is needed.
+
 Two scan orders exist in the wild, so both are implemented and the shipped
 default is fixed by calibration against the Mullineux cross-checks (see
 harness.calibration_report): BOTTOM_UP, i.e. the scan runs from the last row
@@ -100,43 +107,44 @@ def removable_nodes(lam: Partition) -> tuple[Node, ...]:
 
 @lru_cache(maxsize=None)
 def _classify(parts: tuple[int, ...], p: int, orientation: Orientation):
-    lam = Partition(parts)
-    add = [[] for _ in range(p)]
-    rem = [[] for _ in range(p)]
-    for node in addable_nodes(lam):
-        add[(node[1] - node[0]) % p].append(node)
-    for node in removable_nodes(lam):
-        rem[(node[1] - node[0]) % p].append(node)
-
-    normal: list[tuple[Node, ...]] = []
-    conormal: list[tuple[Node, ...]] = []
-    for i in range(p):
-        # Merge into scan order. Rows are distinct across the two lists for a
-        # fixed residue, so sorting by row is unambiguous.
-        word = [(n, "R") for n in rem[i]] + [(n, "A") for n in add[i]]
-        word.sort(key=lambda t: t[0][0], reverse=(orientation is Orientation.BOTTOM_UP))
-        stack: list[Node] = []
-        surviving_add: list[Node] = []
-        for node, kind in word:
-            if kind == "R":
-                stack.append(node)
-            elif stack:
-                stack.pop()
+    # The single pass of the module docstring, over rows 1..h+1; the stacks
+    # share their node tuples with rem.
+    h = len(parts)
+    add: list[list[Node]] = [[] for _ in range(p)]
+    rem: list[list[Node]] = [[] for _ in range(p)]
+    stack: list[list[Node]] = [[] for _ in range(p)]
+    conormal: list[list[Node]] = [[] for _ in range(p)]
+    bottom_up = orientation is Orientation.BOTTOM_UP
+    for r in range(h + 1, 0, -1) if bottom_up else range(1, h + 2):
+        x = parts[r - 1] if r <= h else 0
+        if x > (parts[r] if r < h else 0):
+            node = (r, x)
+            i = (x - r) % p
+            rem[i].append(node)
+            stack[i].append(node)
+        if r == 1 or parts[r - 2] > x:
+            node = (r, x + 1)
+            i = (x + 1 - r) % p
+            add[i].append(node)
+            if stack[i]:
+                stack[i].pop()
             else:
-                surviving_add.append(node)
-        normal.append(tuple(sorted(stack)))
-        conormal.append(tuple(sorted(surviving_add)))
+                conormal[i].append(node)
 
+    if bottom_up:
+        # Node lists are top-to-bottom; this scan built them bottom first.
+        for nodes in (*add, *rem, *stack, *conormal):
+            nodes.reverse()
     return NodeClassification(
-        partition=lam,
+        partition=Partition._trusted(parts),
         p=p,
         orientation=orientation,
-        addable=tuple(tuple(x) for x in add),
-        removable=tuple(tuple(x) for x in rem),
-        normal=tuple(normal),
-        conormal=tuple(conormal),
-        epsilon=tuple(len(x) for x in normal),
-        phi=tuple(len(x) for x in conormal),
+        addable=tuple(map(tuple, add)),
+        removable=tuple(map(tuple, rem)),
+        normal=tuple(map(tuple, stack)),
+        conormal=tuple(map(tuple, conormal)),
+        epsilon=tuple(map(len, stack)),
+        phi=tuple(map(len, conormal)),
     )
 
 

@@ -58,7 +58,7 @@ def enumerate_js(n: int, p: int, fixed_only: bool = False) -> Iterator[Partition
             break
         for b in range(min(p - 1, n // a), 0, -1):
             for parts in _later_runs([a] * b, n - a * b, a, b, p):
-                lam = Partition(parts)
+                lam = Partition._trusted(parts)
                 if not fixed_only or is_mullineux_fixed(lam, p):
                     yield lam
 

@@ -19,7 +19,6 @@ diagram conjugation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .branching import CALIBRATED_ORIENTATION, Orientation, classify_nodes, tilde_e, tilde_f
@@ -43,11 +42,23 @@ def _check_input(lam: Partition, p: int) -> None:
         raise NotPRegular(f"the Mullineux map is defined on p-regular partitions, got {lam} at p={p}")
 
 
-@lru_cache(maxsize=None)
-def _mull(parts: tuple[int, ...], p: int, choice: ResidueChoice, orientation: Orientation):
+# (p, residue choice, orientation) -> {parts: (image parts, residue i, child
+# parts)}. One link per partition keeps a chain of n steps at O(n) memory, and
+# mullineux() reads the trace by following the child links. The memo is
+# checked inside _mull, so each level costs one recursion-limit frame (a C
+# cache wrapper costs two). Failures are not stored.
+_MULL_LINKS: dict[tuple, dict[tuple[int, ...], tuple]] = {}
+
+
+def _mull(
+    parts: tuple[int, ...], p: int, choice: ResidueChoice, orientation: Orientation, links: dict
+) -> tuple[int, ...]:
     if not parts:
-        return (), ()
-    lam = Partition(parts)
+        return ()
+    link = links.get(parts)
+    if link is not None:
+        return link[0]
+    lam = Partition._trusted(parts)
     eps = classify_nodes(lam, p, orientation).epsilon
     candidates = [i for i in range(p) if eps[i] > 0]
     if not candidates:
@@ -58,14 +69,15 @@ def _mull(parts: tuple[int, ...], p: int, choice: ResidueChoice, orientation: Or
     i = candidates[0] if choice == "smallest" else candidates[-1]
     child = tilde_e(lam, i, p, orientation)
     assert child is not None
-    child_image, child_trace = _mull(child.parts, p, choice, orientation)
-    image = tilde_f(Partition(child_image), (p - i) % p, p, orientation)
+    child_image = Partition._trusted(_mull(child.parts, p, choice, orientation, links))
+    image = tilde_f(child_image, (p - i) % p, p, orientation)
     if image is None:
         raise InternalInconsistency(
-            f"no conormal node of residue {(p - i) % p} on {Partition(child_image)} "
+            f"no conormal node of residue {(p - i) % p} on {child_image} "
             f"while lifting {lam} at p={p} ({orientation.value} scan)"
         )
-    return image.parts, (i,) + child_trace
+    links[parts] = (image.parts, i, child.parts)
+    return image.parts
 
 
 def mullineux(
@@ -84,8 +96,14 @@ def mullineux(
     _check_input(lam, p)
     if residue_choice not in ("smallest", "largest"):
         raise ValueError(f"residue_choice must be 'smallest' or 'largest', got {residue_choice!r}")
-    parts, trace = _mull(lam.parts, p, residue_choice, orientation)
-    return MullineuxResult(image=Partition(parts), trace=trace)
+    links = _MULL_LINKS.setdefault((p, residue_choice, orientation), {})
+    image = _mull(lam.parts, p, residue_choice, orientation, links)
+    trace = []
+    parts = lam.parts
+    while parts:
+        _, i, parts = links[parts]
+        trace.append(i)
+    return MullineuxResult(image=Partition._trusted(image), trace=tuple(trace))
 
 
 def mullineux_image(lam: Partition, p: int) -> Partition:

@@ -63,6 +63,17 @@ class Partition:
             raise NotWeaklyDecreasing(f"parts must be weakly decreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap a tuple without checking it.
+
+        Only for tuples the package derived from a partition it has already
+        validated; every user-facing entry point builds Partition(...).
+        """
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "parts", parts)
+        return lam
+
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
@@ -121,23 +132,17 @@ class Partition:
         r, c = node
         if self.row(r) != c or self.row(r + 1) >= c:
             raise ValueError(f"{node} is not a removable node of {self}")
-        parts = list(self.parts)
-        parts[r - 1] -= 1
-        if parts[r - 1] == 0:
-            parts.pop()
-        return Partition(parts)
+        parts = self.parts
+        x = parts[r - 1] - 1
+        return Partition._trusted(parts[: r - 1] + ((x,) if x else ()) + parts[r:])
 
     def add(self, node: Node) -> "Partition":
         """Partition with one addable node appended."""
         r, c = node
         if not (self.row(r) + 1 == c and (r == 1 or self.row(r - 1) >= c)):
             raise ValueError(f"{node} is not an addable node of {self}")
-        parts = list(self.parts)
-        if r == len(parts) + 1:
-            parts.append(1)
-        else:
-            parts[r - 1] += 1
-        return Partition(parts)
+        parts = self.parts
+        return Partition._trusted(parts[: r - 1] + (self.row(r) + 1,) + parts[r:])
 
 
 EMPTY = Partition()
@@ -231,7 +236,7 @@ def enumerate_partitions(
         return
     for parts in _descending_lex(n):
         if not regular_only or _regular(parts, p):
-            yield Partition(parts)
+            yield Partition._trusted(parts)
 
 
 def _regular(parts: tuple[int, ...], p: int) -> bool:

@@ -56,6 +56,89 @@ def _random_cancellation(lam, p, i, orientation, rng):
     return tuple(normals), tuple(conormals)
 
 
+# to_json_dict() of fixed partitions, pinned from the sort-and-merge reduction
+# that the one-pass kernel replaced.
+PINNED_JSON = [
+    ("5,2", 3, Orientation.TOP_DOWN, {
+        "partition": "5,2", "p": 3, "orientation": "top-down",
+        "addable": [[], [[2, 3], [3, 1]], [[1, 6]]], "removable": [[[2, 2]], [[1, 5]], []],
+        "normal": [[[2, 2]], [], []], "conormal": [[], [[3, 1]], [[1, 6]]],
+        "epsilon": [1, 0, 0], "phi": [0, 1, 1],
+    }),
+    ("5,2", 3, Orientation.BOTTOM_UP, {
+        "partition": "5,2", "p": 3, "orientation": "bottom-up",
+        "addable": [[], [[2, 3], [3, 1]], [[1, 6]]], "removable": [[[2, 2]], [[1, 5]], []],
+        "normal": [[[2, 2]], [[1, 5]], []], "conormal": [[], [[2, 3], [3, 1]], [[1, 6]]],
+        "epsilon": [1, 1, 0], "phi": [0, 2, 1],
+    }),
+    ("5,2", 5, Orientation.TOP_DOWN, {
+        "partition": "5,2", "p": 5, "orientation": "top-down",
+        "addable": [[[1, 6]], [[2, 3]], [], [[3, 1]], []], "removable": [[[2, 2]], [], [], [], [[1, 5]]],
+        "normal": [[[2, 2]], [], [], [], [[1, 5]]], "conormal": [[[1, 6]], [[2, 3]], [], [[3, 1]], []],
+        "epsilon": [1, 0, 0, 0, 1], "phi": [1, 1, 0, 1, 0],
+    }),
+    ("5,2", 5, Orientation.BOTTOM_UP, {
+        "partition": "5,2", "p": 5, "orientation": "bottom-up",
+        "addable": [[[1, 6]], [[2, 3]], [], [[3, 1]], []], "removable": [[[2, 2]], [], [], [], [[1, 5]]],
+        "normal": [[], [], [], [], [[1, 5]]], "conormal": [[], [[2, 3]], [], [[3, 1]], []],
+        "epsilon": [0, 0, 0, 0, 1], "phi": [0, 1, 0, 1, 0],
+    }),
+    ("8,2", 3, Orientation.TOP_DOWN, {
+        "partition": "8,2", "p": 3, "orientation": "top-down",
+        "addable": [[], [[2, 3], [3, 1]], [[1, 9]]], "removable": [[[2, 2]], [[1, 8]], []],
+        "normal": [[[2, 2]], [], []], "conormal": [[], [[3, 1]], [[1, 9]]],
+        "epsilon": [1, 0, 0], "phi": [0, 1, 1],
+    }),
+    ("8,2", 3, Orientation.BOTTOM_UP, {
+        "partition": "8,2", "p": 3, "orientation": "bottom-up",
+        "addable": [[], [[2, 3], [3, 1]], [[1, 9]]], "removable": [[[2, 2]], [[1, 8]], []],
+        "normal": [[[2, 2]], [[1, 8]], []], "conormal": [[], [[2, 3], [3, 1]], [[1, 9]]],
+        "epsilon": [1, 1, 0], "phi": [0, 2, 1],
+    }),
+    ("8,2", 5, Orientation.TOP_DOWN, {
+        "partition": "8,2", "p": 5, "orientation": "top-down",
+        "addable": [[], [[2, 3]], [], [[1, 9], [3, 1]], []], "removable": [[[2, 2]], [], [[1, 8]], [], []],
+        "normal": [[[2, 2]], [], [[1, 8]], [], []], "conormal": [[], [[2, 3]], [], [[1, 9], [3, 1]], []],
+        "epsilon": [1, 0, 1, 0, 0], "phi": [0, 1, 0, 2, 0],
+    }),
+    ("8,2", 5, Orientation.BOTTOM_UP, {
+        "partition": "8,2", "p": 5, "orientation": "bottom-up",
+        "addable": [[], [[2, 3]], [], [[1, 9], [3, 1]], []], "removable": [[[2, 2]], [], [[1, 8]], [], []],
+        "normal": [[[2, 2]], [], [[1, 8]], [], []], "conormal": [[], [[2, 3]], [], [[1, 9], [3, 1]], []],
+        "epsilon": [1, 0, 1, 0, 0], "phi": [0, 1, 0, 2, 0],
+    }),
+    ("2,1", 3, Orientation.TOP_DOWN, {
+        "partition": "2,1", "p": 3, "orientation": "top-down",
+        "addable": [[[2, 2]], [[3, 1]], [[1, 3]]], "removable": [[], [[1, 2]], [[2, 1]]],
+        "normal": [[], [], [[2, 1]]], "conormal": [[[2, 2]], [], [[1, 3]]],
+        "epsilon": [0, 0, 1], "phi": [1, 0, 1],
+    }),
+    ("2,1", 3, Orientation.BOTTOM_UP, {
+        "partition": "2,1", "p": 3, "orientation": "bottom-up",
+        "addable": [[[2, 2]], [[3, 1]], [[1, 3]]], "removable": [[], [[1, 2]], [[2, 1]]],
+        "normal": [[], [[1, 2]], []], "conormal": [[[2, 2]], [[3, 1]], []],
+        "epsilon": [0, 1, 0], "phi": [1, 1, 0],
+    }),
+    ("2,1", 5, Orientation.TOP_DOWN, {
+        "partition": "2,1", "p": 5, "orientation": "top-down",
+        "addable": [[[2, 2]], [], [[1, 3]], [[3, 1]], []], "removable": [[], [[1, 2]], [], [], [[2, 1]]],
+        "normal": [[], [[1, 2]], [], [], [[2, 1]]], "conormal": [[[2, 2]], [], [[1, 3]], [[3, 1]], []],
+        "epsilon": [0, 1, 0, 0, 1], "phi": [1, 0, 1, 1, 0],
+    }),
+    ("2,1", 5, Orientation.BOTTOM_UP, {
+        "partition": "2,1", "p": 5, "orientation": "bottom-up",
+        "addable": [[[2, 2]], [], [[1, 3]], [[3, 1]], []], "removable": [[], [[1, 2]], [], [], [[2, 1]]],
+        "normal": [[], [[1, 2]], [], [], [[2, 1]]], "conormal": [[[2, 2]], [], [[1, 3]], [[3, 1]], []],
+        "epsilon": [0, 1, 0, 0, 1], "phi": [1, 0, 1, 1, 0],
+    }),
+]
+
+# p = 5 up to n = 8 (bare-n ids, so those test ids stay stable), p = 3 and 7 up to n = 10.
+ORACLE_CASES = [pytest.param(5, n, id=str(n)) for n in range(0, 9)] + [
+    pytest.param(p, n, id=f"p{p}-{n}") for p in (3, 7) for n in range(0, 11)
+]
+
+
 class TestNodeLists:
     def test_addable_removable_82(self):
         lam = Partition((8, 2))
@@ -118,15 +201,19 @@ class TestClassification:
         assert d["normal"][0] == [[2, 2]]
 
     @pytest.mark.parametrize("orientation", list(Orientation))
-    @pytest.mark.parametrize("n", range(0, 9))
-    def test_matches_random_cancellation_oracle(self, n, orientation):
+    @pytest.mark.parametrize("p,n", ORACLE_CASES)
+    def test_matches_random_cancellation_oracle(self, p, n, orientation):
         rng = random.Random(20260819 + n)
-        for lam in enumerate_partitions(n, 5):
-            nc = classify_nodes(lam, 5, orientation)
-            for i in range(5):
-                normals, conormals = _random_cancellation(lam, 5, i, orientation, rng)
+        for lam in enumerate_partitions(n, p):
+            nc = classify_nodes(lam, p, orientation)
+            for i in range(p):
+                normals, conormals = _random_cancellation(lam, p, i, orientation, rng)
                 assert normals == nc.normal[i]
                 assert conormals == nc.conormal[i]
+
+    @pytest.mark.parametrize("text,p,orientation,want", PINNED_JSON)
+    def test_json_dict_pinned(self, text, p, orientation, want):
+        assert classify_nodes(parse_partition(text), p, orientation).to_json_dict() == want
 
     def test_totals_balance_small_sweep(self):
         for n in range(0, 10):

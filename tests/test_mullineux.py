@@ -5,6 +5,13 @@ before the code existed and are frozen here; the recursion route must
 reproduce them, and the two routes must agree on sweeps.
 """
 
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from modpart import (
@@ -24,6 +31,8 @@ from modpart import (
     mullineux_via_symbol,
     parse_partition,
     remove_p_rim,
+    run_check,
+    tilde_e,
     tilde_f,
 )
 from modpart.errors import (
@@ -32,6 +41,10 @@ from modpart.errors import (
     OddPrimeRequired,
     ReconstructionFailure,
 )
+
+# The package attribute modpart.mullineux is the function of that name.
+MULLINEUX_MODULE = importlib.import_module("modpart.mullineux")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # (partition text, p, expected image text), all verified by hand
 FROZEN_VECTORS = [
@@ -184,3 +197,57 @@ class TestContracts:
         # under the wrong scan the recursion cannot even get started on (3) at p=3
         with pytest.raises(InternalInconsistency):
             mullineux(parse_partition("3"), 3, orientation=Orientation.TOP_DOWN)
+
+
+class TestMemo:
+    def test_trace_does_not_depend_on_memo_state(self, monkeypatch):
+        regular = [lam for n in range(0, 13) for lam in enumerate_partitions(n, 5, regular_only=True)]
+        choices = {"smallest": min, "largest": max}
+        cold = {}
+        for lam in regular:
+            for choice in choices:
+                monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+                cold[lam, choice] = mullineux(lam, 5, residue_choice=choice)
+        monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+        assert run_check("L17", n_min=1, n_max=12, primes=(5,)).passed
+        for lam in regular:
+            for choice, pick in choices.items():
+                warm = mullineux(lam, 5, residue_choice=choice)
+                assert warm == cold[lam, choice]
+                # each step removes the good node of the chosen normal residue
+                cur = lam
+                for i in warm.trace:
+                    eps = classify_nodes(cur, 5).epsilon
+                    assert i == pick(j for j in range(5) if eps[j])
+                    cur = tilde_e(cur, i, 5)
+                assert cur == EMPTY
+
+
+def _one_row_closed(n, p):
+    a, b = divmod(n, p - 1)
+    return [x for x in [a + 1] * b + [a] * (p - 1 - b) if x > 0]
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("n", [900, 903])
+    def test_one_row_from_a_cold_start_on_both_routes(self, n):
+        # a fresh interpreter, so the recursion descends all n levels on an
+        # empty memo; each prime has its own memo
+        code = (
+            "import json\n"
+            "from modpart import Partition, mullineux_image, mullineux_via_symbol\n"
+            f"lam = Partition(({n},))\n"
+            "print(json.dumps([[list(mullineux_image(lam, p)), list(mullineux_via_symbol(lam, p))]"
+            " for p in (3, 5, 7)]))\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        for p, (recursion, symbol) in zip((3, 5, 7), json.loads(proc.stdout)):
+            assert recursion == symbol == _one_row_closed(n, p)

@@ -11,15 +11,19 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+import modpart
 from modpart import (
     EMPTY,
     Partition,
+    addable_nodes,
     conjugate,
+    enumerate_js,
     enumerate_partitions,
     exponent_form,
     format_partition,
     is_p_regular,
     parse_partition,
+    removable_nodes,
     residue,
     specht_dimension,
     validate_prime,
@@ -126,6 +130,37 @@ class TestPartitionType:
 
     def test_remove_last_part(self):
         assert Partition((1,)).remove((1, 1)) == EMPTY
+
+    def test_derived_partitions_pass_the_checks(self):
+        # remove, add and the enumerators skip Partition's validation; each
+        # result must equal what the checked constructor builds from its parts
+        for n in range(0, 11):
+            for lam in enumerate_partitions(n, 3):
+                assert lam == Partition(list(lam.parts))
+                removable, addable = set(removable_nodes(lam)), set(addable_nodes(lam))
+                for r in range(-1, len(lam) + 3):
+                    for c in range(-1, lam.row(1) + 3):
+                        node = (r, c)
+                        if node in removable:
+                            want = [x for x in lam.parts[: r - 1] + (c - 1,) + lam.parts[r:] if x]
+                            got = lam.remove(node)
+                            assert got == Partition(want) == Partition(list(got.parts))
+                        else:
+                            with pytest.raises(ValueError):
+                                lam.remove(node)
+                        if node in addable:
+                            want = list(lam.parts[: r - 1]) + [c] + list(lam.parts[r:])
+                            got = lam.add(node)
+                            assert got == Partition(want) == Partition(list(got.parts))
+                        else:
+                            with pytest.raises(ValueError):
+                                lam.add(node)
+            for lam in enumerate_js(n, 5):
+                assert lam == Partition(list(lam.parts))
+
+    def test_unchecked_constructor_is_private(self):
+        assert hasattr(Partition, "_trusted")
+        assert not any("trusted" in name for name in modpart.__all__)
 
 
 class TestParseFormat:

@@ -19,12 +19,16 @@ default is fixed by calibration against the Mullineux cross-checks (see
 harness.calibration_report): BOTTOM_UP, i.e. the scan runs from the last row
 up to row 1, so a removable node cancels against the nearest surviving
 addable node strictly above it. The scan is an explicit argument of
-classify_nodes, tilde_e and tilde_f; the flipped orientation is kept only so
+classify_nodes and mullineux only; the flipped orientation is kept only so
 the calibration experiment can demonstrate it fails.
 
 e_tilde removes the bottom (largest-row) normal i-node; f_tilde adds the top
 (smallest-row) conormal i-node. Both return None when the operator is absent
 (eps_i = 0 resp. phi_i = 0); absence is a value, not an error.
+
+Public functions validate their inputs once. The Mullineux recursion calls
+the private cores _tilde_e/_tilde_f, which take the scan and skip the checks
+of p and i that its entry point has already made.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import EmptyPartition, NotPRegular
-from .partitions import Node, Partition, is_p_regular, validate_prime
+from .partitions import Node, Partition, _regular, validate_prime
 
 
 class Orientation(Enum):
@@ -105,7 +109,10 @@ def removable_nodes(lam: Partition) -> tuple[Node, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+# Bounded so a ceiling sweep cannot fill memory; large enough for the default
+# report's whole working set (12,618 classifications), which 4,096 entries
+# evicted between L52 and L18.
+@lru_cache(maxsize=16384)
 def _classify(parts: tuple[int, ...], p: int, orientation: Orientation):
     # The single pass of the module docstring, over rows 1..h+1; the stacks
     # share their node tuples with rem.
@@ -160,7 +167,7 @@ def classify_nodes(
 
 
 def _check_regular(lam: Partition, p: int, what: str) -> None:
-    if not is_p_regular(lam, p):
+    if not _regular(lam.parts, p):
         raise NotPRegular(f"{what} needs a p-regular partition, got {lam} at p={p}")
 
 
@@ -169,35 +176,40 @@ def _check_residue(i: int, p: int) -> None:
         raise ValueError(f"residue must satisfy 0 <= i < p, got i={i}, p={p}")
 
 
-def tilde_e(
-    lam: Partition, i: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATION
-) -> Partition | None:
-    """Remove the bottom normal i-node; None when there is none."""
-    validate_prime(p)
-    _check_residue(i, p)
+def _tilde_e(lam: Partition, i: int, p: int, orientation: Orientation) -> Partition | None:
+    """tilde_e for a valid p and residue i, under the given scan."""
     _check_regular(lam, p, "tilde_e")
-    nc = classify_nodes(lam, p, orientation)
-    if not nc.normal[i]:
-        return None
-    return lam.remove(nc.normal[i][-1])
+    normal = _classify(lam.parts, p, orientation).normal[i]
+    return lam.remove(normal[-1]) if normal else None
 
 
-def tilde_f(
-    lam: Partition, i: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATION
-) -> Partition | None:
-    """Add the top conormal i-node; None when there is none."""
+def _tilde_f(lam: Partition, i: int, p: int, orientation: Orientation) -> Partition | None:
+    """tilde_f for a valid p and residue i, under the given scan."""
+    _check_regular(lam, p, "tilde_f")
+    conormal = _classify(lam.parts, p, orientation).conormal[i]
+    return lam.add(conormal[0]) if conormal else None
+
+
+def tilde_e(lam: Partition, i: int, p: int) -> Partition | None:
+    """Remove the bottom normal i-node of a p-regular lam under the calibrated
+    scan; None when there is none."""
     validate_prime(p)
     _check_residue(i, p)
-    _check_regular(lam, p, "tilde_f")
-    nc = classify_nodes(lam, p, orientation)
-    if not nc.conormal[i]:
-        return None
-    return lam.add(nc.conormal[i][0])
+    return _tilde_e(lam, i, p, CALIBRATED_ORIENTATION)
+
+
+def tilde_f(lam: Partition, i: int, p: int) -> Partition | None:
+    """Add the top conormal i-node of a p-regular lam under the calibrated
+    scan; None when there is none."""
+    validate_prime(p)
+    _check_residue(i, p)
+    return _tilde_f(lam, i, p, CALIBRATED_ORIENTATION)
 
 
 def is_js(lam: Partition, p: int) -> bool:
     """True when lam has exactly one normal node (signature definition)."""
     if not lam:
         raise EmptyPartition("is_js needs a nonempty partition")
+    validate_prime(p)
     _check_regular(lam, p, "is_js")
-    return sum(classify_nodes(lam, p).epsilon) == 1
+    return sum(_classify(lam.parts, p, CALIBRATED_ORIENTATION).epsilon) == 1

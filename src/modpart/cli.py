@@ -1,5 +1,9 @@
 """Command line interface.
 
+mull, nodes, js, classify and enumerate take --p and --json. verify and
+report sweep the primes each check declares, so they take no --p; verify
+has --json, and report always prints JSON lines.
+
 Exit codes: 0 success (and, for verify/report, no counterexamples), 1 a check
 found counterexamples, 2 a usage or contract error (bad partition syntax,
 singular label, wrong prime, dimension-one factor, oversized sweep, ...) or an
@@ -68,12 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--checks", help=f"comma-separated ids (default: all of {','.join(CHECK_ORDER)})")
     s.add_argument("--max-n", type=int, help="cap every sweep at this n")
     s.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max counterexamples kept per check")
-    _add_common(s)
+    s.add_argument("--json", action="store_true", help="emit JSON lines instead of text")
 
     s = subs.add_parser("report", help="run everything and print JSON lines (calibration record first)")
     s.add_argument("--max-n", type=int, help="cap every sweep at this n")
     s.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max counterexamples kept per check")
-    _add_common(s)
 
     return parser
 

@@ -465,22 +465,6 @@ class LemmaReport:
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "LemmaReport":
-        d = json.loads(line)
-        return cls(
-            id=d["id"],
-            n_min=d["n_min"],
-            n_max=d["n_max"],
-            primes=tuple(d["primes"]),
-            instances=d["instances"],
-            counterexamples=d["counterexamples"],
-            counterexamples_total=d["counterexamples_total"],
-            passed=d["pass"],
-            elapsed=d["elapsed"],
-            details=d.get("details"),
-        )
-
 
 def _merge_details(a: dict | None, b: dict | None) -> dict | None:
     if a is None:

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .errors import EmptyPartition, NotPRegular
 from .mullineux import is_mullineux_fixed
-from .partitions import Partition, exponent_form, is_p_regular, validate_prime
+from .partitions import Partition, _regular, exponent_form, validate_prime
 
 
 def is_js_arith(lam: Partition, p: int) -> bool:
@@ -29,7 +29,7 @@ def is_js_arith(lam: Partition, p: int) -> bool:
     validate_prime(p)
     if not lam:
         raise EmptyPartition("is_js_arith needs a nonempty partition")
-    if not is_p_regular(lam, p):
+    if not _regular(lam.parts, p):
         raise NotPRegular(f"is_js_arith needs a p-regular partition, got {lam} at p={p}")
     runs = exponent_form(lam)
     return all(

@@ -11,9 +11,9 @@ p-regular partition whose symbol keeps the a_k but has second entries
 s_k = a_k - r_k + [p does not divide a_k]; it is rebuilt by inverse p-rim
 attachment from the innermost layer outward.
 
-The two routes share no code beyond the Partition type, which is what makes
-their agreement a meaningful check. For p > |lam| both degenerate to
-diagram conjugation.
+The two routes share no code beyond the partitions layer (the Partition type
+and its p-regularity rule), which is what makes their agreement a meaningful
+check. For p > |lam| both degenerate to diagram conjugation.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .branching import CALIBRATED_ORIENTATION, Orientation, classify_nodes, tilde_e, tilde_f
+from .branching import CALIBRATED_ORIENTATION, Orientation, _tilde_e, _tilde_f, classify_nodes
 from .errors import InternalInconsistency, NotPRegular, ReconstructionFailure
-from .partitions import Partition, is_p_regular, validate_prime
+from .partitions import EMPTY, Partition, _regular, validate_prime
 
 ResidueChoice = str  # "smallest" | "largest"
 
@@ -38,7 +38,7 @@ class MullineuxResult:
 
 def _check_input(lam: Partition, p: int) -> None:
     validate_prime(p)
-    if not is_p_regular(lam, p):
+    if not _regular(lam.parts, p):
         raise NotPRegular(f"the Mullineux map is defined on p-regular partitions, got {lam} at p={p}")
 
 
@@ -67,10 +67,10 @@ def _mull(
             f"({orientation.value} scan)"
         )
     i = candidates[0] if choice == "smallest" else candidates[-1]
-    child = tilde_e(lam, i, p, orientation)
+    child = _tilde_e(lam, i, p, orientation)
     assert child is not None
     child_image = Partition._trusted(_mull(child.parts, p, choice, orientation, links))
-    image = tilde_f(child_image, (p - i) % p, p, orientation)
+    image = _tilde_f(child_image, (p - i) % p, p, orientation)
     if image is None:
         raise InternalInconsistency(
             f"no conormal node of residue {(p - i) % p} on {child_image} "
@@ -139,7 +139,7 @@ def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int, int]:
         out[i] > 0 and out[i - 1] == 0 for i in range(1, len(out))
     ):
         raise InternalInconsistency(f"p-rim removal broke {lam} at p={p}: {out}")
-    return Partition(rest), lam.size - sum(rest), len(parts)
+    return Partition._trusted(rest), lam.size - sum(rest), len(parts)
 
 
 def mullineux_symbol(lam: Partition, p: int) -> tuple[tuple[int, int], ...]:
@@ -188,7 +188,7 @@ def attach_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
         ):
             ok = False
         if ok:
-            candidate = Partition(cand)
+            candidate = Partition._trusted(tuple(cand))
             if remove_p_rim(candidate, p) == (mu, a, r):
                 found.append(candidate)
     uniq = sorted(set(found))
@@ -202,19 +202,17 @@ def attach_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
 
 def mullineux_via_symbol(lam: Partition, p: int) -> Partition:
     """Mullineux image via the rim symbol (independent oracle route)."""
-    _check_input(lam, p)
-    image = Partition()
+    image = EMPTY
     for a, r in reversed(mullineux_symbol(lam, p)):
         s = a - r + (1 if a % p else 0)
         image = attach_p_rim(image, a, s, p)
-    if not is_p_regular(image, p):
+    if not _regular(image.parts, p):
         raise InternalInconsistency(f"symbol route produced a p-singular image {image} for {lam} at p={p}")
     return image
 
 
 def is_mullineux_fixed(lam: Partition, p: int) -> bool:
     """True when lam is its own Mullineux image."""
-    _check_input(lam, p)
     return mullineux_image(lam, p) == lam
 
 

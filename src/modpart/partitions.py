@@ -201,7 +201,7 @@ def exponent_form(lam: Partition) -> tuple[tuple[int, int], ...]:
 def is_p_regular(lam: Partition, p: int) -> bool:
     """True when no part repeats p or more times."""
     validate_prime(p)
-    return all(mult < p for _, mult in exponent_form(lam))
+    return _regular(lam.parts, p)
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -240,6 +240,7 @@ def enumerate_partitions(
 
 
 def _regular(parts: tuple[int, ...], p: int) -> bool:
+    """is_p_regular for a valid p, on a part tuple: the package's one rule."""
     run = 1
     for i in range(1, len(parts)):
         run = run + 1 if parts[i] == parts[i - 1] else 1

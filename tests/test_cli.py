@@ -219,3 +219,10 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["verify", "--max-n", "4", "--p", "7"], ["report", "--max-n", "4", "--json"]])
+    def test_sweep_commands_take_no_p_and_report_no_json(self, capsys, argv):
+        # the sweeps fix their own primes, and report always prints JSON lines
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

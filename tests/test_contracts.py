@@ -1,0 +1,115 @@
+"""The input contract of every public entry point, as one table.
+
+Each row calls one public function with one bad input (or a combination of
+two, which pins the order in which the checks run) and names the exact error
+class and message it raises, or None when the input is accepted. The rows
+describe the package's behaviour at the API boundary only, so they must hold
+unchanged whatever the internal code does after validation.
+"""
+
+import pytest
+
+import modpart
+from modpart import EMPTY, Partition
+from modpart.errors import (
+    EmptyPartition,
+    NotPRegular,
+    OddPrimeRequired,
+    ReconstructionFailure,
+)
+
+LAM = Partition((3, 1))  # p-regular for every p
+SING = Partition((2, 1, 1, 1))  # 3-singular
+
+BAD_P = [
+    (2, "p must be an odd prime >= 3, got 2"),
+    (9, "p must be prime, got 9 = 3 * 3"),
+    (True, "p must be an integer, got True"),
+    (5.0, "p must be an integer, got 5.0"),
+]
+P9 = (OddPrimeRequired, BAD_P[1][1])
+MULL_SING = (NotPRegular, "the Mullineux map is defined on p-regular partitions, got 2,1,1,1 at p=3")
+NO_RIM = (ValueError, "cannot remove a p-rim from the empty partition")
+NO_LABEL = (EmptyPartition, "labels need a nonempty partition")
+
+
+def _sing(what):
+    return (NotPRegular, f"{what} needs a p-regular partition, got 2,1,1,1 at p=3")
+
+
+def _residue(i, p):
+    return (ValueError, f"residue must satisfy 0 <= i < p, got i={i}, p={p}")
+
+
+# entry: (arguments before p, outcomes for (SING, 3), (EMPTY, 5), (SING, 9),
+# (EMPTY, 9)); the operators take a residue before p.
+LAM_P = {
+    "classify_nodes": ((), (None, None, P9, P9)),
+    "tilde_e": ((0,), (_sing("tilde_e"), None, P9, P9)),
+    "tilde_f": ((0,), (_sing("tilde_f"), None, P9, P9)),
+    "is_js": ((), (_sing("is_js"), (EmptyPartition, "is_js needs a nonempty partition"), P9,
+                   (EmptyPartition, "is_js needs a nonempty partition"))),
+    "is_js_arith": ((), (_sing("is_js_arith"), (EmptyPartition, "is_js_arith needs a nonempty partition"),
+                         P9, P9)),
+    "is_p_regular": ((), (None, None, P9, P9)),
+    "mullineux": ((), (MULL_SING, None, P9, P9)),
+    "mullineux_image": ((), (MULL_SING, None, P9, P9)),
+    "is_mullineux_fixed": ((), (MULL_SING, None, P9, P9)),
+    "canonical_label": ((), (MULL_SING, None, P9, P9)),
+    "mullineux_symbol": ((), (MULL_SING, None, P9, P9)),
+    "mullineux_via_symbol": ((), (MULL_SING, None, P9, P9)),
+    "remove_p_rim": ((), (None, NO_RIM, P9, NO_RIM)),
+    "make_label": ((), (MULL_SING, NO_LABEL, P9, NO_LABEL)),
+}
+
+
+def _rows():
+    cases = [(SING, 3, "singular"), (EMPTY, 5, "empty"), (SING, 9, "singular,p=9"), (EMPTY, 9, "empty,p=9")]
+    for name, (extra, outcomes) in LAM_P.items():
+        for p, msg in BAD_P:
+            yield name, f"p={p!r}", (LAM, *extra, p), (OddPrimeRequired, msg)
+        for (lam, p, label), want in zip(cases, outcomes):
+            yield name, label, (lam, *extra, p), want
+    for name in ("tilde_e", "tilde_f"):
+        yield name, "i=-1", (LAM, -1, 3), _residue(-1, 3)
+        yield name, "i=p", (LAM, 3, 3), _residue(3, 3)
+        yield name, "i=-1,p=9", (LAM, -1, 9), P9
+        yield name, "singular,i=p", (SING, 3, 3), _residue(3, 3)
+        yield name, "empty,i=p", (EMPTY, 5, 5), _residue(5, 5)
+    choice = (ValueError, "residue_choice must be 'smallest' or 'largest', got 'middle'")
+    yield "mullineux", "choice", (LAM, 3, "middle"), choice
+    yield "mullineux", "singular,choice", (SING, 3, "middle"), MULL_SING
+    yield "mullineux", "p=9,choice", (LAM, 9, "middle"), P9
+    sign = (ValueError, "sign must be '+' or '-', got 'x'")
+    yield "make_label", "sign", (LAM, 3, "x"), sign
+    yield "make_label", "p=9,sign", (LAM, 9, "x"), sign
+    yield "make_label", "singular,sign", (SING, 3, "+"), MULL_SING
+    for name in ("enumerate_js", "enumerate_partitions"):
+        for p, msg in BAD_P:
+            yield name, f"p={p!r}", (4, p), (OddPrimeRequired, msg)
+        yield name, "n=-1", (-1, 5), (ValueError, "n must be >= 0, got -1")
+        yield name, "n=-1,p=9", (-1, 9), P9
+    for p, msg in BAD_P:
+        yield "residue", f"p={p!r}", ((1, 2), p), (OddPrimeRequired, msg)
+        yield "attach_p_rim", f"p={p!r}", (EMPTY, 2, 2, p), (OddPrimeRequired, msg)
+    yield "attach_p_rim", "singular", (Partition((1, 1, 1)), 3, 3, 3), None
+    yield "attach_p_rim", "a<r", (EMPTY, 1, 2, 3), (
+        ReconstructionFailure, "no partition adds a 3-rim of 1 nodes over 2 rows onto []")
+    yield "attach_p_rim", "a<r,p=9", (EMPTY, 1, 2, 9), P9
+
+
+ROWS = list(_rows())
+
+
+@pytest.mark.parametrize("name,label,args,want", ROWS, ids=[f"{r[0]}-{r[1]}" for r in ROWS])
+def test_contract(name, label, args, want):
+    fn = getattr(modpart, name)
+    try:
+        out = fn(*args)
+        if name.startswith("enumerate"):
+            list(out)
+    except Exception as e:  # the class and message are the assertion
+        got = (type(e), str(e))
+    else:
+        got = None
+    assert got == want

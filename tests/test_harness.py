@@ -8,7 +8,6 @@ import modpart.harness as harness
 from modpart import (
     CHECK_ORDER,
     CHECKS,
-    LemmaReport,
     Partition,
     calibration_report,
     merge_reports,
@@ -140,12 +139,6 @@ class TestReports:
         d = rep.to_json_dict()
         assert list(d)[-1] == "details"
         assert set(d["details"]["i_distribution"]) == {"1", "4"}
-
-    def test_round_trip(self):
-        for cid in ("L52", "L29"):
-            rep = run_check(cid, n_max=11)
-            again = LemmaReport.from_json_line(rep.to_json_line())
-            assert again == rep
 
     def test_deterministic_modulo_elapsed(self, flipped_scan):
         a = run_check("MULLX", n_max=7, cap=4)

@@ -178,6 +178,30 @@ class TestFixedAndCanonical:
         assert canonical_label(parse_partition("4,1,1"), 3) == parse_partition("4,1,1")
 
 
+def _distinct_odd_prime_to_p(n_max, p):
+    """Coefficients of prod (1 + q^k) over odd k with p not dividing k, up to q^n_max."""
+    coeff = [1] + [0] * n_max
+    for k in range(1, n_max + 1, 2):
+        if k % p:
+            for m in range(n_max, k - 1, -1):
+                coeff[m] += coeff[m - k]
+    return coeff
+
+
+class TestFixedPointCount:
+    # Andrews-Olsson and Bessenrodt (1991) with Ford-Kleshchev (1997): the
+    # Mullineux map fixes as many p-regular partitions of n as there are
+    # partitions of n into distinct odd parts prime to p. The count comes from
+    # outside the code, so it also guards the layer both routes share.
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_fixed_points_on_both_routes(self, p):
+        want = _distinct_odd_prime_to_p(24, p)
+        for n in range(25):
+            regular = list(enumerate_partitions(n, p, regular_only=True))
+            assert sum(is_mullineux_fixed(lam, p) for lam in regular) == want[n], n
+            assert sum(mullineux_via_symbol(lam, p) == lam for lam in regular) == want[n], n
+
+
 class TestContracts:
     def test_even_characteristic_rejected(self):
         with pytest.raises(OddPrimeRequired):

@@ -7,13 +7,16 @@ has --json, and report always prints JSON lines.
 Exit codes: 0 success (and, for verify/report, no counterexamples), 1 a check
 found counterexamples, 2 a usage or contract error (bad partition syntax,
 singular label, wrong prime, dimension-one factor, oversized sweep, ...) or an
-input too large for the recursive Mullineux map (RecursionError).
+input too large for the recursive Mullineux map (RecursionError). A reader
+that closes stdout early (`modpart enumerate --n 40 | head -1`) ends the
+command quietly with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .branching import classify_nodes
@@ -251,6 +254,13 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError as e:
         print(f"error: RecursionError: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe on purpose; send the interpreter's exit
+        # flush of what is still buffered to /dev/null instead of the pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

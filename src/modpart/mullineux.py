@@ -19,7 +19,6 @@ check. For p > |lam| both degenerate to diagram conjugation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .branching import CALIBRATED_ORIENTATION, Orientation, _tilde_e, _tilde_f, classify_nodes
 from .errors import InternalInconsistency, NotPRegular, ReconstructionFailure
@@ -111,19 +110,8 @@ def mullineux_image(lam: Partition, p: int) -> Partition:
     return mullineux(lam, p).image
 
 
-def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int, int]:
-    """Strip one p-rim layer; returns (rest, nodes removed, rows met).
-
-    The rim of lam is walked from the top-right corner in segments of p
-    consecutive rim nodes; after a full segment the next one starts on the
-    row below the row where the previous segment stopped, at that row's
-    rightmost rim node. The final segment may be shorter. Every row loses at
-    least one node, so rows met = height of lam.
-    """
-    if not lam:
-        raise ValueError("cannot remove a p-rim from the empty partition")
-    validate_prime(p)
-    parts = lam.parts
+def _remove_p_rim(parts: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int, int]:
+    """remove_p_rim on a nonempty part tuple, p already validated; returns the rest as parts."""
     out = list(parts)
     budget = p
     for idx in range(len(parts)):
@@ -138,17 +126,33 @@ def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int, int]:
     if any(rest[i] < rest[i + 1] for i in range(len(rest) - 1)) or any(
         out[i] > 0 and out[i - 1] == 0 for i in range(1, len(out))
     ):
-        raise InternalInconsistency(f"p-rim removal broke {lam} at p={p}: {out}")
-    return Partition._trusted(rest), lam.size - sum(rest), len(parts)
+        raise InternalInconsistency(f"p-rim removal broke {Partition._trusted(parts)} at p={p}: {out}")
+    return rest, sum(parts) - sum(rest), len(parts)
+
+
+def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int, int]:
+    """Strip one p-rim layer; returns (rest, nodes removed, rows met).
+
+    The rim of lam is walked from the top-right corner in segments of p
+    consecutive rim nodes; after a full segment the next one starts on the
+    row below the row where the previous segment stopped, at that row's
+    rightmost rim node. The final segment may be shorter. Every row loses at
+    least one node, so rows met = height of lam.
+    """
+    if not lam:
+        raise ValueError("cannot remove a p-rim from the empty partition")
+    validate_prime(p)
+    rest, a, r = _remove_p_rim(lam.parts, p)
+    return Partition._trusted(rest), a, r
 
 
 def mullineux_symbol(lam: Partition, p: int) -> tuple[tuple[int, int], ...]:
     """Rim symbol ((a_1, r_1), ..., (a_k, r_k)); empty for the empty partition."""
     _check_input(lam, p)
     rows = []
-    cur = lam
-    while cur:
-        cur, a, r = remove_p_rim(cur, p)
+    parts = lam.parts
+    while parts:
+        parts, a, r = _remove_p_rim(parts, p)
         rows.append((a, r))
     return tuple(rows)
 
@@ -156,12 +160,23 @@ def mullineux_symbol(lam: Partition, p: int) -> tuple[tuple[int, int], ...]:
 def attach_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
     """Inverse of remove_p_rim: the unique nu with remove_p_rim(nu) = (mu, a, r).
 
-    A p-rim of size a meeting r rows consists of m = ceil(a/p) row-consecutive
-    segments, each of p nodes except possibly the last. Inside a segment every
-    non-final row sheds its whole rim stretch, which pins nu_{i+1} = mu_i + 1;
-    the segment's size then pins its first row. So candidates are indexed by
-    the segment boundary rows; each candidate is validated by running the
-    forward removal, and exactly one may survive.
+    A p-rim of a nodes over r rows is m = ceil(a/p) segments of consecutive
+    rows s..e, of sizes z_1 = ... = z_{m-1} = p and z_m = a - p(m - 1). With
+    mu padded by zeros to r rows, the forward walk pins each segment by its
+    rows: every non-final row sheds its whole rim stretch, so
+    nu_{i+1} = mu_i + 1 for s <= i < e, and the size pins the top row,
+    nu_s = z_k + mu_e - (e - s). The segment is valid exactly when
+    - nu_s >= mu_s + 1 if e > s (row s sheds at least one node, so nu_s >= 1
+      always holds and e - s < z_k);
+    - nu_s <= mu_{s-1} + 1 if k > 1 (row s - 1 ends the previous segment: it
+      sheds its remaining budget without passing its rim stretch);
+    - e = r and (z_m = p or mu_r = 0) for the last segment (a short last
+      segment must empty row r).
+    Validity depends only on (k, s, e), so a dynamic program over (segment,
+    start row) counts the boundary sets that pass, from the last segment back
+    to the first, in O(m * r * p) <= O(m * r^2) steps, and rebuilds nu from
+    the unique one; none or several raise ReconstructionFailure. One forward
+    removal checks the result.
     """
     validate_prime(p)
     if a < r or r < len(mu) or r < 1:
@@ -169,35 +184,41 @@ def attach_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
     m = -(-a // p)  # ceil
     if m > r:
         raise ReconstructionFailure(f"a {p}-rim of {a} nodes needs at most {a // p} segment rows, got r={r}")
-    mu_pad = [mu.row(i) for i in range(1, r + 1)]
-    sizes = [p] * (m - 1) + [a - p * (m - 1)]
-    found: list[Partition] = []
-    for ends in combinations(range(1, r), m - 1):
-        bounds = list(ends) + [r]
-        nu = [0] * (r + 1)  # 1-based
-        ok = True
-        start = 1
-        for size, end in zip(sizes, bounds):
-            for i in range(start, end):
-                nu[i + 1] = mu_pad[i - 1] + 1
-            nu[start] = size + sum(mu_pad[start - 1 : end]) - sum(nu[start + 1 : end + 1])
-            start = end + 1
-        cand = nu[1:]
-        if any(x < 1 for x in cand) or any(
-            cand[i] < cand[i + 1] for i in range(len(cand) - 1)
-        ):
-            ok = False
-        if ok:
-            candidate = Partition._trusted(tuple(cand))
-            if remove_p_rim(candidate, p) == (mu, a, r):
-                found.append(candidate)
-    uniq = sorted(set(found))
-    if len(uniq) != 1:
+    mu_pad = mu.parts + (0,) * (r - len(mu))
+    last = a - p * (m - 1)
+    # ways[s]: boundary sets for segments k..m when segment k starts at row s
+    # (rows and segments 0-based). Past row r there is one way to place no
+    # segment, if the last segment may end on row r. found[k, s]: segment k's
+    # end row and top part on such a set.
+    ways = [0] * r + [1 if last == p or mu_pad[-1] == 0 else 0]
+    found: dict[tuple[int, int], tuple[int, int]] = {}
+    for k in range(m - 1, -1, -1):
+        z = p if k < m - 1 else last
+        rows_left = r - (m - 1 - k)  # the later segments need a row each
+        later, ways = ways, [0] * (r + 1)
+        for s in range(k, 1 if k == 0 else rows_left):
+            for e in range(s, min(s + z, rows_left)):
+                if later[e + 1]:
+                    top = z + mu_pad[e] - (e - s)
+                    if (e == s or top > mu_pad[s]) and (k == 0 or top <= mu_pad[s - 1] + 1):
+                        ways[s] += later[e + 1]
+                        found[k, s] = (e, top)
+    if ways[0] != 1:
         raise ReconstructionFailure(
             f"inverse p-rim attachment onto {mu} with (a, r)=({a}, {r}) at p={p} "
-            f"found {len(uniq)} candidates {uniq}"
+            f"found {ways[0]} candidates"
         )
-    return uniq[0]
+    nu = [0] + [x + 1 for x in mu_pad[:-1]]
+    s = 0
+    for k in range(m):
+        e, nu[s] = found[k, s]
+        s = e + 1
+    parts = tuple(nu)
+    if _remove_p_rim(parts, p) != (mu.parts, a, r):
+        raise InternalInconsistency(
+            f"inverse p-rim attachment onto {mu} with (a, r)=({a}, {r}) at p={p} built {nu}"
+        )
+    return Partition._trusted(parts)
 
 
 def mullineux_via_symbol(lam: Partition, p: int) -> Partition:

@@ -1,7 +1,10 @@
 """CLI: golden outputs, JSON agreement with the library, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from modpart import classify_nodes, classify_tensor, enumerate_partitions, make_
 from modpart.cli import main
 
 REFERENCE_REPORT = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "report-default.jsonl"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +162,25 @@ class TestEnumerate:
         rows = dict(line.split("\t") for line in out.strip().splitlines())
         assert rows["2,2"] == "2"
         assert rows["3,1"] == "3"
+
+    def test_reader_closing_the_pipe_is_exit_0(self):
+        # `modpart enumerate --n 40 | head -1`: 37,338 lines overflow the pipe,
+        # so the writer meets the closed pipe before it finishes
+        code = "import sys\nfrom modpart.cli import main\nsys.exit(main(['enumerate', '--n', '40']))\n"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "40\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == ""
 
 
 class TestVerify:

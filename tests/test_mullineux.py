@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,7 @@ from modpart.errors import (
     OddPrimeRequired,
     ReconstructionFailure,
 )
+from modpart.partitions import validate_prime
 
 # The package attribute modpart.mullineux is the function of that name.
 MULLINEUX_MODULE = importlib.import_module("modpart.mullineux")
@@ -116,6 +118,89 @@ class TestSymbols:
             attach_p_rim(Partition((2, 1)), 2, 3, 5)  # fewer nodes than rows
         with pytest.raises(ReconstructionFailure):
             attach_p_rim(Partition((4,)), 3, 2, 5)  # cannot cover row 1's rim
+
+
+def _attach_by_search(mu, a, r, p):
+    """The exhaustive inverse p-rim attachment that the segment-boundary DP
+    replaced, kept as the test oracle: build nu from every set of segment
+    boundary rows and keep the candidates that the forward removal maps back
+    to (mu, a, r)."""
+    validate_prime(p)
+    if a < r or r < len(mu) or r < 1:
+        raise ReconstructionFailure(f"no partition adds a {p}-rim of {a} nodes over {r} rows onto {mu}")
+    m = -(-a // p)  # ceil
+    if m > r:
+        raise ReconstructionFailure(f"a {p}-rim of {a} nodes needs at most {a // p} segment rows, got r={r}")
+    mu_pad = [mu.row(i) for i in range(1, r + 1)]
+    sizes = [p] * (m - 1) + [a - p * (m - 1)]
+    found: list[Partition] = []
+    for ends in combinations(range(1, r), m - 1):
+        bounds = list(ends) + [r]
+        nu = [0] * (r + 1)  # 1-based
+        ok = True
+        start = 1
+        for size, end in zip(sizes, bounds):
+            for i in range(start, end):
+                nu[i + 1] = mu_pad[i - 1] + 1
+            nu[start] = size + sum(mu_pad[start - 1 : end]) - sum(nu[start + 1 : end + 1])
+            start = end + 1
+        cand = nu[1:]
+        if any(x < 1 for x in cand) or any(
+            cand[i] < cand[i + 1] for i in range(len(cand) - 1)
+        ):
+            ok = False
+        if ok:
+            candidate = Partition._trusted(tuple(cand))
+            if remove_p_rim(candidate, p) == (mu, a, r):
+                found.append(candidate)
+    uniq = sorted(set(found))
+    if len(uniq) != 1:
+        raise ReconstructionFailure(
+            f"inverse p-rim attachment onto {mu} with (a, r)=({a}, {r}) at p={p} "
+            f"found {len(uniq)} candidates {uniq}"
+        )
+    return uniq[0]
+
+
+def _attach_outcome(attach, mu, a, r, p):
+    try:
+        return attach(mu, a, r, p)
+    except ReconstructionFailure:
+        return ReconstructionFailure
+
+
+class TestAttachAgainstSearch:
+    # the boundary DP must build the same partition as the exhaustive search,
+    # and fail on exactly the same triples
+    def test_every_triple_the_symbol_route_reaches(self, monkeypatch):
+        triples = set()
+        real = MULLINEUX_MODULE.attach_p_rim
+
+        def record(mu, a, r, p):
+            triples.add((mu, a, r, p))
+            return real(mu, a, r, p)
+
+        monkeypatch.setattr(MULLINEUX_MODULE, "attach_p_rim", record)
+        for p in (3, 5, 7):
+            for n in range(21):
+                for lam in enumerate_partitions(n, p, regular_only=True):
+                    mullineux_via_symbol(lam, p)
+        monkeypatch.undo()
+        assert len(triples) == 5212
+        for mu, a, r, p in triples:
+            assert attach_p_rim(mu, a, r, p) == _attach_by_search(mu, a, r, p), (mu, a, r, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_grid_of_valid_and_invalid_triples(self, p):
+        attached = 0
+        for n in range(9):
+            for mu in enumerate_partitions(n, p):
+                for r in range(11):
+                    for a in range(3 * p + 4):
+                        want = _attach_outcome(_attach_by_search, mu, a, r, p)
+                        assert _attach_outcome(attach_p_rim, mu, a, r, p) == want, (mu, a, r)
+                        attached += want is not ReconstructionFailure
+        assert attached == {3: 1189, 5: 2322, 7: 3237}[p]  # 6,748 of 42,009
 
 
 class TestInvolutionAndFriends:
@@ -201,6 +286,14 @@ class TestFixedPointCount:
             assert sum(is_mullineux_fixed(lam, p) for lam in regular) == want[n], n
             assert sum(mullineux_via_symbol(lam, p) == lam for lam in regular) == want[n], n
 
+    def test_fixed_points_on_the_symbol_route_to_30(self):
+        # the symbol route alone at p = 5, from where the test above stops to
+        # n = 30; going on to n = 40 would take about 13 s
+        want = _distinct_odd_prime_to_p(30, 5)
+        for n in range(25, 31):
+            regular = enumerate_partitions(n, 5, regular_only=True)
+            assert sum(mullineux_via_symbol(lam, 5) == lam for lam in regular) == want[n], n
+
 
 class TestContracts:
     def test_even_characteristic_rejected(self):
@@ -252,6 +345,12 @@ def _one_row_closed(n, p):
     return [x for x in [a + 1] * b + [a] * (p - 1 - b) if x > 0]
 
 
+def _two_row_closed_at_5(n, i):
+    """Image of (n - i, i) at p = 5 for n >= 12 and 1 <= i <= 4: the image of
+    the row (n - i) with i rows of one node below it."""
+    return _one_row_closed(n - i, 5) + [1] * i
+
+
 class TestLargeN:
     @pytest.mark.parametrize("n", [900, 903])
     def test_one_row_from_a_cold_start_on_both_routes(self, n):
@@ -275,3 +374,11 @@ class TestLargeN:
         assert proc.returncode == 0, proc.stderr[-2000:]
         for p, (recursion, symbol) in zip((3, 5, 7), json.loads(proc.stdout)):
             assert recursion == symbol == _one_row_closed(n, p)
+
+    @pytest.mark.parametrize("n", [3000, 5000])
+    def test_closed_forms_on_the_symbol_route(self, n):
+        # the symbol route is not recursive, so it runs in process at any n
+        for p in (3, 5, 7):
+            assert list(mullineux_via_symbol(Partition((n,)), p)) == _one_row_closed(n, p), p
+        for i in range(1, 5):
+            assert list(mullineux_via_symbol(Partition((n - i, i)), 5)) == _two_row_closed_at_5(n, i), i

@@ -13,6 +13,9 @@ a removable node is pushed, an addable node pops the nearest pushed node of
 its residue or else survives as conormal; what stays on a stack is normal.
 Row r holds at most the removable node (r, x) and the addable node
 (r, x + 1), whose residues differ by one, so no sorting or merging is needed.
+The cache holds only what this pass computes: the normal and conormal lists
+and their counts. The addable and removable lists of NodeClassification are
+derived on read from addable_nodes and removable_nodes.
 
 Two scan orders exist in the wild, so both are implemented and the shipped
 default is fixed by calibration against the Mullineux cross-checks (see
@@ -62,18 +65,27 @@ class NodeClassification:
     """Addable/removable/normal/conormal nodes of one partition, by residue.
 
     Node lists are top-to-bottom (ascending row). epsilon[i] and phi[i] are
-    the normal and conormal counts for residue i.
+    the normal and conormal counts for residue i. The cached value stores
+    only what the bracket pass computes (normal and conormal lists, counts);
+    addable and removable are derived on read from addable_nodes and
+    removable_nodes.
     """
 
     partition: Partition
     p: int
     orientation: Orientation
-    addable: tuple[tuple[Node, ...], ...]
-    removable: tuple[tuple[Node, ...], ...]
     normal: tuple[tuple[Node, ...], ...]
     conormal: tuple[tuple[Node, ...], ...]
     epsilon: tuple[int, ...]
     phi: tuple[int, ...]
+
+    @property
+    def addable(self) -> tuple[tuple[Node, ...], ...]:
+        return _by_residue(addable_nodes(self.partition), self.p)
+
+    @property
+    def removable(self) -> tuple[tuple[Node, ...], ...]:
+        return _by_residue(removable_nodes(self.partition), self.p)
 
     def to_json_dict(self) -> dict:
         grid = lambda rows: [[list(n) for n in row] for row in rows]
@@ -109,45 +121,44 @@ def removable_nodes(lam: Partition) -> tuple[Node, ...]:
     )
 
 
+def _by_residue(nodes: tuple[Node, ...], p: int) -> tuple[tuple[Node, ...], ...]:
+    """nodes split into one tuple per residue (c - r) mod p, order kept."""
+    out: list[list[Node]] = [[] for _ in range(p)]
+    for node in nodes:
+        out[(node[1] - node[0]) % p].append(node)
+    return tuple(map(tuple, out))
+
+
 # Bounded so a ceiling sweep cannot fill memory; large enough for the default
 # report's whole working set (12,618 classifications), which 4,096 entries
 # evicted between L52 and L18.
 @lru_cache(maxsize=16384)
 def _classify(parts: tuple[int, ...], p: int, orientation: Orientation):
-    # The single pass of the module docstring, over rows 1..h+1; the stacks
-    # share their node tuples with rem.
+    # The single pass of the module docstring, over rows 1..h+1. It meets
+    # every addable and removable node but keeps only the survivors.
     h = len(parts)
-    add: list[list[Node]] = [[] for _ in range(p)]
-    rem: list[list[Node]] = [[] for _ in range(p)]
     stack: list[list[Node]] = [[] for _ in range(p)]
     conormal: list[list[Node]] = [[] for _ in range(p)]
     bottom_up = orientation is Orientation.BOTTOM_UP
     for r in range(h + 1, 0, -1) if bottom_up else range(1, h + 2):
         x = parts[r - 1] if r <= h else 0
         if x > (parts[r] if r < h else 0):
-            node = (r, x)
-            i = (x - r) % p
-            rem[i].append(node)
-            stack[i].append(node)
+            stack[(x - r) % p].append((r, x))
         if r == 1 or parts[r - 2] > x:
-            node = (r, x + 1)
             i = (x + 1 - r) % p
-            add[i].append(node)
             if stack[i]:
                 stack[i].pop()
             else:
-                conormal[i].append(node)
+                conormal[i].append((r, x + 1))
 
     if bottom_up:
         # Node lists are top-to-bottom; this scan built them bottom first.
-        for nodes in (*add, *rem, *stack, *conormal):
+        for nodes in (*stack, *conormal):
             nodes.reverse()
     return NodeClassification(
         partition=Partition._trusted(parts),
         p=p,
         orientation=orientation,
-        addable=tuple(map(tuple, add)),
-        removable=tuple(map(tuple, rem)),
         normal=tuple(map(tuple, stack)),
         conormal=tuple(map(tuple, conormal)),
         epsilon=tuple(map(len, stack)),

@@ -2,7 +2,9 @@
 
 mull, nodes, js, classify and enumerate take --p and --json. verify and
 report sweep the primes each check declares, so they take no --p; verify
-has --json, and report always prints JSON lines.
+has --json, and report always prints JSON lines. Their --max-n and --cap
+must be >= 0 and --checks must name a check, so that no sweep that runs
+nothing reports green.
 
 Exit codes: 0 success (and, for verify/report, no counterexamples), 1 a check
 found counterexamples, 2 a usage or contract error (bad partition syntax,
@@ -36,6 +38,18 @@ from .partitions import (
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=int, default=5, help="odd prime characteristic (default 5)")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
+
+
+def _non_negative(text: str) -> int:
+    # rejected while parsing, so that nothing is printed: a negative --max-n
+    # would sweep nothing and still report green
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,13 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("verify", help="run verification checks and summarize")
     s.add_argument("--checks", help=f"comma-separated ids (default: all of {','.join(CHECK_ORDER)})")
-    s.add_argument("--max-n", type=int, help="cap every sweep at this n")
-    s.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max counterexamples kept per check")
+    s.add_argument("--max-n", type=_non_negative, help="cap every sweep at this n")
+    s.add_argument("--cap", type=_non_negative, default=DEFAULT_CAP, help="max counterexamples kept per check")
     s.add_argument("--json", action="store_true", help="emit JSON lines instead of text")
 
     s = subs.add_parser("report", help="run everything and print JSON lines (calibration record first)")
-    s.add_argument("--max-n", type=int, help="cap every sweep at this n")
-    s.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max counterexamples kept per check")
+    s.add_argument("--max-n", type=_non_negative, help="cap every sweep at this n")
+    s.add_argument("--cap", type=_non_negative, default=DEFAULT_CAP, help="max counterexamples kept per check")
 
     return parser
 
@@ -191,7 +205,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = tuple(t.strip() for t in args.checks.split(",") if t.strip()) if args.checks else None
+    checks = None if args.checks is None else tuple(t.strip() for t in args.checks.split(",") if t.strip())
     reports = run_all(max_n=args.max_n, checks=checks, cap=args.cap)
     if args.json:
         for rep in reports:

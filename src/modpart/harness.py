@@ -532,6 +532,8 @@ def run_check(
     ps = check.primes if primes is None else tuple(sorted({validate_prime(p) for p in primes}))
     if lo < 0:
         raise ValueError(f"n_min must be >= 0, got {lo}")
+    if hi < 0:
+        raise ValueError(f"n_max must be >= 0, got {hi}")
     if hi > DEFAULT_CEILING:
         raise SweepTooLarge(f"n_max={hi} exceeds the sweep ceiling {DEFAULT_CEILING}")
     if cap < 0:
@@ -549,8 +551,13 @@ def run_all(
 
     max_n caps every sweep at min(default, max_n). If a calibration-gate
     check (MULLX, CLOSED) fails, the remaining checks are skipped and the
-    reports so far are returned.
+    reports so far are returned. A negative max_n or an empty checks
+    selection would run nothing and is rejected.
     """
+    if max_n is not None and max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    if checks is not None and not checks:
+        raise ValueError("empty check selection; omit checks to run them all")
     wanted = set(CHECK_ORDER if checks is None else checks)
     unknown = wanted - set(CHECK_ORDER)
     if unknown:
@@ -602,7 +609,11 @@ def calibration_report(n_max: int = 12) -> dict:
 
     Exactly one orientation must pass both; it must be the calibrated one.
     This is the only caller that passes a scan other than the calibrated one.
+    A negative n_max would sweep nothing, so both scans would pass; it is
+    rejected.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     per_orientation: dict[str, dict] = {}
     for o in (Orientation.BOTTOM_UP, Orientation.TOP_DOWN):
         entry = {}

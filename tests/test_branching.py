@@ -6,6 +6,8 @@ the stack-based reduction regardless of cancellation order, for both scan
 orientations.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -214,6 +216,18 @@ class TestClassification:
     @pytest.mark.parametrize("text,p,orientation,want", PINNED_JSON)
     def test_json_dict_pinned(self, text, p, orientation, want):
         assert classify_nodes(parse_partition(text), p, orientation).to_json_dict() == want
+
+    def test_json_dicts_digest_pinned(self):
+        # one JSON line per classification: n = 0..16, then p, then the scan,
+        # then enumeration order (7,320 lines)
+        digest = hashlib.sha256()
+        for n in range(17):
+            for p in (3, 5, 7, 11):
+                for orientation in Orientation:
+                    for lam in enumerate_partitions(n, p):
+                        line = json.dumps(classify_nodes(lam, p, orientation).to_json_dict()) + "\n"
+                        digest.update(line.encode())
+        assert digest.hexdigest() == "82f88aefb07588b3481836a15339d785c36ea9342173f39fb281ce9b238c3141"
 
     def test_totals_balance_small_sweep(self):
         for n in range(0, 10):

@@ -16,6 +16,25 @@ REFERENCE_REPORT = Path(__file__).resolve().parent.parent / "perfbench" / "refer
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+NODES_8_2_AT_5 = """\
+partition 8,2  p=5  orientation=bottom-up
+  residue 0: eps=1 phi=0  addable -  removable (2,2)  normal (2,2)  conormal -
+  residue 1: eps=0 phi=1  addable (2,3)  removable -  normal -  conormal (2,3)
+  residue 2: eps=1 phi=0  addable -  removable (1,8)  normal (1,8)  conormal -
+  residue 3: eps=0 phi=2  addable (1,9) (3,1)  removable -  normal -  conormal (1,9) (3,1)
+  residue 4: eps=0 phi=0  addable -  removable -  normal -  conormal -
+  totals: eps=2 phi=3
+"""
+
+NODES_4_4_4_1_1_AT_3 = """\
+partition 4,4,4,1,1  p=3  orientation=bottom-up
+  residue 0: eps=0 phi=0  addable -  removable -  normal -  conormal -
+  residue 1: eps=0 phi=2  addable (1,5) (4,2) (6,1)  removable (3,4)  normal -  conormal (4,2) (6,1)
+  residue 2: eps=1 phi=0  addable -  removable (5,1)  normal (5,1)  conormal -
+  totals: eps=1 phi=2
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -76,6 +95,14 @@ class TestNodes:
         code, out, _ = run_cli(capsys, "nodes", "8,2", "--p", "5")
         assert code == 0
         assert "totals: eps=2 phi=3" in out
+
+    @pytest.mark.parametrize("text,p,want", [
+        ("8,2", "5", NODES_8_2_AT_5), ("4^3,1^2", "3", NODES_4_4_4_1_1_AT_3),
+    ])
+    def test_human_output_golden(self, capsys, text, p, want):
+        code, out, _ = run_cli(capsys, "nodes", text, "--p", p)
+        assert code == 0
+        assert out == want
 
 
 class TestJs:
@@ -242,6 +269,21 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--max-n", "-1"], ["verify", "--cap", "-1"],
+        ["verify", "--checks", ","], ["verify", "--checks", ""],
+        ["report", "--max-n", "-5"], ["report", "--cap", "-1"],
+    ])
+    def test_sweeps_that_would_run_nothing_are_exit_2(self, capsys, argv):
+        # a negative bound or an empty selection runs no check; before any
+        # check runs, nothing is printed on stdout
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [["verify", "--max-n", "4", "--p", "7"], ["report", "--max-n", "4", "--json"]])
     def test_sweep_commands_take_no_p_and_report_no_json(self, capsys, argv):

@@ -116,6 +116,8 @@ class TestRunCheck:
             run_check("L52", n_min=-1, n_max=4)
         with pytest.raises(ValueError):
             run_check("L52", n_max=4, cap=-1)
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            run_check("L52", n_max=-1)
 
 
 class TestReports:
@@ -212,8 +214,26 @@ class TestRunAll:
         reports = run_all(max_n=5)
         assert all(r.n_max <= 5 for r in reports)
 
+    def test_negative_max_n_rejected(self):
+        # every sweep would be empty and the run would report green
+        with pytest.raises(ValueError, match="max_n must be >= 0"):
+            run_all(max_n=-1)
+
+    def test_empty_selection_rejected(self):
+        with pytest.raises(ValueError, match="empty check selection"):
+            run_all(max_n=4, checks=())
+
+    def test_zero_max_n_still_runs(self):
+        reports = run_all(max_n=0, checks=("L52",))
+        assert [r.id for r in reports] == ["L52"] and reports[0].passed
+
 
 class TestCalibration:
+    def test_negative_n_max_rejected(self):
+        # both scans would pass an empty sweep
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            calibration_report(n_max=-5)
+
     def test_unique_passing_orientation(self):
         rep = calibration_report(n_max=8)
         assert rep["unique"] is True

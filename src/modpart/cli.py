@@ -4,7 +4,8 @@ mull, nodes, js, classify and enumerate take --p and --json. verify and
 report sweep the primes each check declares, so they take no --p; verify
 has --json, and report always prints JSON lines. Their --max-n and --cap
 must be >= 0 and --checks must name a check, so that no sweep that runs
-nothing reports green.
+nothing reports green; report also needs --max-n >= 3, since below n = 3
+both scans pass and the calibration cannot decide.
 
 Exit codes: 0 success (and, for verify/report, no counterexamples), 1 a check
 found counterexamples, 2 a usage or contract error (bad partition syntax,
@@ -92,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json", action="store_true", help="emit JSON lines instead of text")
 
     s = subs.add_parser("report", help="run everything and print JSON lines (calibration record first)")
-    s.add_argument("--max-n", type=_non_negative, help="cap every sweep at this n")
+    s.add_argument("--max-n", type=_non_negative, help="cap every sweep at this n (>= 3, so the calibration can decide)")
     s.add_argument("--cap", type=_non_negative, default=DEFAULT_CAP, help="max counterexamples kept per check")
 
     return parser
@@ -110,7 +111,7 @@ def _cmd_mull(args) -> int:
                     "image": str(res.image),
                     "fixed": res.image == lam,
                     "trace": list(res.trace),
-                    "symbol": [list(pair) for pair in mullineux_symbol(lam, args.p)] if lam else [],
+                    "symbol": [list(pair) for pair in mullineux_symbol(lam, args.p)],
                 }
             )
         )

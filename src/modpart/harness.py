@@ -1,8 +1,9 @@
 """Exhaustive verification sweeps over bounded ranges of n and p.
 
 Every check has a stable id, a default sweep (n range and primes), and a pure
-check function per (n, p) cell; run_check aggregates the cells into a
-LemmaReport, and run_all runs the whole registry in canonical order. The two
+check function per (n, p) cell; run_check turns each cell into a LemmaReport
+and folds the cells through merge_reports, the same fold that recombines
+shards, and run_all runs the whole registry in canonical order. The two
 Mullineux cross-validation checks (MULLX, CLOSED) act as a calibration gate:
 they are the checks that distinguish the two signature-scan orientations, so
 run_all executes them first and aborts the suite if either fails, since every
@@ -12,8 +13,8 @@ Reports serialize to JSON lines with a fixed field order, so two runs of the
 same configuration are byte-identical except for the elapsed field. Sweeps
 may be sharded by n and merged (merge_reports); iteration order inside a
 check is deterministic (n ascending, primes ascending, partitions in
-descending lex), so a sharded run reproduces the unsharded counterexample
-list exactly.
+descending lex), and a sweep is itself the merge of its cells, so a sharded
+run reproduces the unsharded report apart from elapsed.
 """
 
 from __future__ import annotations
@@ -247,8 +248,6 @@ def _check_l18(n: int, p: int):
         return 0, [], None
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
-        if not lam:
-            continue
         eps = classify_nodes(lam, p).epsilon
         if sum(eps) != 2 or sum(1 for e in eps if e) != 2:
             continue
@@ -270,8 +269,6 @@ def _check_l20a(n: int, p: int):
         return 0, [], None
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, 5, regular_only=True):
-        if not lam:
-            continue
         eps = classify_nodes(lam, 5).epsilon
         if sum(eps) < 3:
             continue
@@ -332,8 +329,7 @@ def _one_row_closed(n: int, p: int) -> Partition:
 
 
 def _two_row_closed(n: int, i: int) -> Partition:
-    a, b = divmod(n - i, 4)
-    return Partition([x for x in [a + 1] * b + [a] * (4 - b) if x > 0] + [1] * i)
+    return Partition(_one_row_closed(n - i, 5).parts + (1,) * i)
 
 
 def _check_closed(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATION):
@@ -442,9 +438,12 @@ class LemmaReport:
     instances: int
     counterexamples: list[dict]
     counterexamples_total: int
-    passed: bool
     elapsed: float
     details: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexamples_total == 0
 
     def to_json_dict(self) -> dict:
         out = {
@@ -466,49 +465,23 @@ class LemmaReport:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
-def _merge_details(a: dict | None, b: dict | None) -> dict | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    out = dict(a)
-    for key, val in b.items():
-        if key in out and isinstance(out[key], dict) and isinstance(val, dict):
-            merged = dict(out[key])
-            for k, v in val.items():
-                merged[k] = merged.get(k, 0) + v
-            out[key] = merged
-        else:
-            out[key] = val
-    return out
-
-
 def _sweep(
     check_id: str, fn: CheckFn, lo: int, hi: int, primes: tuple[int, ...], cap: int
 ) -> LemmaReport:
-    """Aggregate fn over the cells n in [lo, hi], p in primes into one report."""
+    """Fold fn's cells n in [lo, hi], p in primes through merge_reports.
+
+    The leading empty report carries the sweep's bounds and primes, so an
+    empty sweep reports them too.
+    """
     start = time.perf_counter()
-    instances, total, kept = 0, 0, []
-    details: dict | None = None
+    cells = [LemmaReport(check_id, lo, hi, primes, 0, [], 0, 0.0)]
     for n in range(lo, hi + 1):
         for p in primes:
             inst, bad, det = fn(n, p)
-            instances += inst
-            total += len(bad)
-            kept.extend(bad[: cap - len(kept)])
-            details = _merge_details(details, det)
-    return LemmaReport(
-        id=check_id,
-        n_min=lo,
-        n_max=hi,
-        primes=primes,
-        instances=instances,
-        counterexamples=kept,
-        counterexamples_total=total,
-        passed=(total == 0),
-        elapsed=round(time.perf_counter() - start, 3),
-        details=details,
-    )
+            cells.append(LemmaReport(check_id, n, n, (p,), inst, bad[:cap], len(bad), 0.0, det))
+    report = merge_reports(cells, cap)
+    report.elapsed = round(time.perf_counter() - start, 3)
+    return report
 
 
 def run_check(
@@ -522,10 +495,13 @@ def run_check(
     """Run one check over its sweep (defaults from the registry).
 
     Bounds are validated against DEFAULT_CEILING; unknown ids and bad sweeps
-    are configuration errors. An empty sweep passes vacuously with 0 instances.
+    are configuration errors. An empty n range passes vacuously with 0
+    instances; an explicitly empty primes would sweep nothing and is rejected.
     """
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; known ids: {', '.join(CHECK_ORDER)}")
+    if primes is not None and not primes:
+        raise ValueError("empty primes; omit primes to sweep the check's default primes")
     check = CHECKS[check_id]
     lo = check.n_min if n_min is None else n_min
     hi = check.n_max if n_max is None else n_max
@@ -575,30 +551,33 @@ def run_all(
 
 
 def merge_reports(reports: list[LemmaReport], cap: int = DEFAULT_CAP) -> LemmaReport:
-    """Merge shard reports of one check (e.g. disjoint n ranges) into one.
+    """Merge reports of one check (its (n, p) cells, or shards by n) into one.
 
-    Counterexamples concatenate in input order; feed shards in ascending
-    sweep order to reproduce the unsharded report.
+    This is the fold every sweep ends in. Counterexamples concatenate in
+    input order, so feeding shards in ascending sweep order reproduces the
+    unsharded report. Details are counters (name -> key -> count), summed
+    key by key in first-seen order.
     """
     if not reports:
         raise ValueError("nothing to merge")
     ids = {r.id for r in reports}
     if len(ids) != 1:
         raise ValueError(f"cannot merge reports of different checks: {sorted(ids)}")
-    allcx = [b for r in reports for b in r.counterexamples]
-    total = sum(r.counterexamples_total for r in reports)
-    details: dict | None = None
-    for r in reports:
-        details = _merge_details(details, r.details)
+    tallies = [r.details for r in reports if r.details is not None]
+    details = {} if tallies else None
+    for tally in tallies:
+        for name, counts in tally.items():
+            merged = details.setdefault(name, {})
+            for key, count in counts.items():
+                merged[key] = merged.get(key, 0) + count
     return LemmaReport(
         id=reports[0].id,
         n_min=min(r.n_min for r in reports),
         n_max=max(r.n_max for r in reports),
         primes=tuple(sorted({p for r in reports for p in r.primes})),
         instances=sum(r.instances for r in reports),
-        counterexamples=allcx[:cap],
-        counterexamples_total=total,
-        passed=(total == 0),
+        counterexamples=[b for r in reports for b in r.counterexamples][:cap],
+        counterexamples_total=sum(r.counterexamples_total for r in reports),
         elapsed=round(sum(r.elapsed for r in reports), 3),
         details=details,
     )
@@ -609,11 +588,11 @@ def calibration_report(n_max: int = 12) -> dict:
 
     Exactly one orientation must pass both; it must be the calibrated one.
     This is the only caller that passes a scan other than the calibrated one.
-    A negative n_max would sweep nothing, so both scans would pass; it is
-    rejected.
+    Below n = 3 both scans pass, so the experiment cannot decide; an n_max
+    below 3 is rejected.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max < 3:
+        raise ValueError(f"calibration needs n_max >= 3 (both scans pass below n = 3), got {n_max}")
     per_orientation: dict[str, dict] = {}
     for o in (Orientation.BOTTOM_UP, Orientation.TOP_DOWN):
         entry = {}

@@ -263,6 +263,12 @@ class TestReport:
             "JSEQ", "L23", "L29", "L18", "L20A", "NUWF",
         ]
 
+    def test_max_n_3_is_exit_0(self, capsys):
+        # the smallest bound at which the calibration can single out a scan
+        code, out, _ = run_cli(capsys, "report", "--max-n", "3")
+        assert code == 0
+        assert json.loads(out.splitlines()[0])["unique"] is True
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):
@@ -274,10 +280,12 @@ class TestUsage:
         ["verify", "--max-n", "-1"], ["verify", "--cap", "-1"],
         ["verify", "--checks", ","], ["verify", "--checks", ""],
         ["report", "--max-n", "-5"], ["report", "--cap", "-1"],
+        ["report", "--max-n", "2"],
     ])
     def test_sweeps_that_would_run_nothing_are_exit_2(self, capsys, argv):
-        # a negative bound or an empty selection runs no check; before any
-        # check runs, nothing is printed on stdout
+        # a negative bound or an empty selection runs no check, and below
+        # n = 3 both scans pass, so report's calibration cannot decide; before
+        # any check runs, nothing is printed on stdout
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -119,6 +119,11 @@ class TestRunCheck:
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             run_check("L52", n_max=-1)
 
+    def test_empty_primes_rejected(self):
+        # no cell would run and the check would report green on nothing
+        with pytest.raises(ValueError, match="empty primes"):
+            run_check("L52", n_max=4, primes=())
+
 
 class TestReports:
     def test_json_line_field_order(self):
@@ -190,6 +195,14 @@ class TestSharding:
         )
         assert merged.primes == (3, 5, 7)
 
+    @pytest.mark.parametrize("cid", CHECK_ORDER)
+    def test_one_n_shards_equal_the_whole_sweep(self, cid):
+        # L29's shards also carry details, which merge key by key
+        hi = min(12, CHECKS[cid].n_max)
+        shards = [run_check(cid, n_min=n, n_max=n) for n in range(CHECKS[cid].n_min, hi + 1)]
+        whole = run_check(cid, n_max=hi)
+        assert _no_elapsed(merge_reports(shards).to_json_dict()) == _no_elapsed(whole.to_json_dict())
+
 
 class TestRunAll:
     def test_canonical_order_and_all_green(self):
@@ -230,9 +243,10 @@ class TestRunAll:
 
 class TestCalibration:
     def test_negative_n_max_rejected(self):
-        # both scans would pass an empty sweep
-        with pytest.raises(ValueError, match="n_max must be >= 0"):
-            calibration_report(n_max=-5)
+        # below n = 3 both scans pass, so the record could not single one out
+        for n_max in (-5, 0, 2):
+            with pytest.raises(ValueError, match="calibration needs n_max >= 3"):
+                calibration_report(n_max=n_max)
 
     def test_unique_passing_orientation(self):
         rep = calibration_report(n_max=8)

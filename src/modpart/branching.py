@@ -22,12 +22,21 @@ default is fixed by calibration against the Mullineux cross-checks (see
 harness.calibration_report): BOTTOM_UP, i.e. the scan runs from the last row
 up to row 1, so a removable node cancels against the nearest surviving
 addable node strictly above it. The scan is an explicit argument of
-classify_nodes and mullineux only; the flipped orientation is kept only so
-the calibration experiment can demonstrate it fails.
+classify_nodes, mullineux and mullineux_image only; the flipped orientation is
+kept only so the calibration experiment can demonstrate it fails.
 
 e_tilde removes the bottom (largest-row) normal i-node; f_tilde adds the top
 (smallest-row) conormal i-node. Both return None when the operator is absent
 (eps_i = 0 resp. phi_i = 0); absence is a value, not an error.
+
+Three readers use the cache: classify_nodes, _tilde_e and is_js. The callers
+of _tilde_e classify its input just before (the Mullineux recursion picks its
+residue from epsilon, then steps down), so its reads hit. _tilde_f does not
+read the cache: each lifting step of the recursion builds a new image that a
+single query never classifies again (about half of the classifications of a
+stream of random queries were such images), so caching it would only cost
+memory and evict entries that are read again. _tilde_f instead runs the
+bracket pass over residue i alone and builds no NodeClassification.
 
 Public functions validate their inputs once. The Mullineux recursion calls
 the private cores _tilde_e/_tilde_f, which take the scan and skip the checks
@@ -194,11 +203,37 @@ def _tilde_e(lam: Partition, i: int, p: int, orientation: Orientation) -> Partit
     return lam.remove(normal[-1]) if normal else None
 
 
+def _top_conormal(parts: tuple[int, ...], i: int, p: int, orientation: Orientation) -> Node | None:
+    """classify_nodes(...).conormal[i][0], or None when phi_i = 0, by a bracket
+    pass over residue i alone that caches nothing.
+
+    An addable i-node that finds no open removable i-node survives for good,
+    so the top survivor is the last one met bottom-up, the first one top-down.
+    """
+    h = len(parts)
+    bottom_up = orientation is Orientation.BOTTOM_UP
+    open_removable = 0
+    top = None
+    for r in range(h + 1, 0, -1) if bottom_up else range(1, h + 2):
+        x = parts[r - 1] if r <= h else 0
+        if (x - r) % p == i:
+            if x > (parts[r] if r < h else 0):
+                open_removable += 1
+        elif (x + 1 - r) % p == i and (r == 1 or parts[r - 2] > x):
+            if open_removable:
+                open_removable -= 1
+            else:
+                top = (r, x + 1)
+                if not bottom_up:
+                    break
+    return top
+
+
 def _tilde_f(lam: Partition, i: int, p: int, orientation: Orientation) -> Partition | None:
     """tilde_f for a valid p and residue i, under the given scan."""
     _check_regular(lam, p, "tilde_f")
-    conormal = _classify(lam.parts, p, orientation).conormal[i]
-    return lam.add(conormal[0]) if conormal else None
+    node = _top_conormal(lam.parts, i, p, orientation)
+    return lam.add(node) if node else None
 
 
 def tilde_e(lam: Partition, i: int, p: int) -> Partition | None:

@@ -27,7 +27,7 @@ from .errors import ModpartError
 from .harness import CHECK_ORDER, DEFAULT_CAP, calibration_report, run_all
 from .js import enumerate_js
 from .labels import classify_tensor, make_label
-from .mullineux import is_mullineux_fixed, mullineux, mullineux_symbol
+from .mullineux import is_mullineux_fixed, mullineux, mullineux_image, mullineux_symbol
 from .partitions import (
     enumerate_partitions,
     format_partition,
@@ -101,8 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_mull(args) -> int:
     lam = parse_partition(args.partition)
-    res = mullineux(lam, args.p)
     if args.json:
+        res = mullineux(lam, args.p)
         print(
             json.dumps(
                 {
@@ -116,7 +116,7 @@ def _cmd_mull(args) -> int:
             )
         )
     else:
-        print(res.image)
+        print(mullineux_image(lam, args.p))
     return 0
 
 

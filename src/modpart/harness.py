@@ -45,7 +45,6 @@ from .labels import (
 )
 from .mullineux import (
     is_mullineux_fixed,
-    mullineux,
     mullineux_image,
     mullineux_via_symbol,
 )
@@ -300,7 +299,7 @@ def _check_mullx(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATI
     for lam in enumerate_partitions(n, p, regular_only=True):
         inst += 1
         try:
-            img = mullineux(lam, p, orientation=orientation).image
+            img = mullineux_image(lam, p, orientation=orientation)
             problems = []
             sym = mullineux_via_symbol(lam, p)
             if img != sym:
@@ -309,12 +308,12 @@ def _check_mullx(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATI
                 problems.append(f"|M(lam)|={img.size}")
             if not is_p_regular(img, p):
                 problems.append(f"M(lam)={img} is p-singular")
-            back = mullineux(img, p, orientation=orientation).image
+            back = mullineux_image(img, p, orientation=orientation)
             if back != lam:
                 problems.append(f"M(M(lam))={back}")
             if p > n and img != conjugate(lam):
                 problems.append(f"p>n but M(lam)={img} != conjugate {conjugate(lam)}")
-            if mullineux(lam, p, residue_choice="largest", orientation=orientation).image != img:
+            if mullineux_image(lam, p, residue_choice="largest", orientation=orientation) != img:
                 problems.append("depends on the residue choice")
             if problems:
                 cxs.append(_cx(p, n, lam, "; ".join(problems), "all Mullineux cross-checks"))
@@ -338,7 +337,7 @@ def _check_closed(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTAT
     if n >= 1:
         inst += 1
         try:
-            img = mullineux(Partition((n,)), p, orientation=orientation).image
+            img = mullineux_image(Partition((n,)), p, orientation=orientation)
             want = _one_row_closed(n, p)
             if img != want:
                 cxs.append(_cx(p, n, Partition((n,)), str(img), str(want)))
@@ -350,7 +349,7 @@ def _check_closed(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTAT
             lam = Partition((n - i, i))
             want = _two_row_closed(n, i)
             try:
-                img = mullineux(lam, 5, orientation=orientation).image
+                img = mullineux_image(lam, 5, orientation=orientation)
                 if img != want:
                     cxs.append(_cx(5, n, lam, str(img), str(want)))
             except ModpartError as e:

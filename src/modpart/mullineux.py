@@ -20,7 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .branching import CALIBRATED_ORIENTATION, Orientation, _tilde_e, _tilde_f, classify_nodes
+from .branching import (
+    CALIBRATED_ORIENTATION,
+    NodeClassification,
+    Orientation,
+    _tilde_e,
+    _tilde_f,
+    classify_nodes,
+)
 from .errors import InternalInconsistency, NotPRegular, ReconstructionFailure
 from .partitions import EMPTY, Partition, _regular, validate_prime
 
@@ -41,41 +48,50 @@ def _check_input(lam: Partition, p: int) -> None:
         raise NotPRegular(f"the Mullineux map is defined on p-regular partitions, got {lam} at p={p}")
 
 
-# (p, residue choice, orientation) -> {parts: (image parts, residue i, child
-# parts)}. One link per partition keeps a chain of n steps at O(n) memory, and
-# mullineux() reads the trace by following the child links. The memo is
-# checked inside _mull, so each level costs one recursion-limit frame (a C
-# cache wrapper costs two). Failures are not stored.
-_MULL_LINKS: dict[tuple, dict[tuple[int, ...], tuple]] = {}
+# (p, residue choice, orientation) -> {parts: image parts}. One link per
+# partition keeps a chain of n steps at O(n) memory. Links hold images only:
+# mullineux() rebuilds the residue trace on demand by one descent. The memo is
+# read inline, never through a cache wrapper, so each level of the recursion
+# costs one recursion-limit frame (a C cache wrapper costs two). Failures are
+# not stored.
+_MULL_LINKS: dict[tuple, dict[tuple[int, ...], tuple[int, ...]]] = {}
 
 
-def _mull(
-    parts: tuple[int, ...], p: int, choice: ResidueChoice, orientation: Orientation, links: dict
-) -> tuple[int, ...]:
-    if not parts:
-        return ()
-    link = links.get(parts)
-    if link is not None:
-        return link[0]
-    lam = Partition._trusted(parts)
-    eps = classify_nodes(lam, p, orientation).epsilon
-    candidates = [i for i in range(p) if eps[i] > 0]
+def _good_residue(nc: NodeClassification, choice: ResidueChoice) -> int:
+    """The normal residue the recursion removes from the nonempty partition
+    that nc classifies: the smallest or largest i with eps_i > 0."""
+    candidates = [i for i in range(nc.p) if nc.epsilon[i] > 0]
     if not candidates:
         raise InternalInconsistency(
-            f"nonempty p-regular partition {lam} has no normal node at p={p} "
-            f"({orientation.value} scan)"
+            f"nonempty p-regular partition {nc.partition} has no normal node at p={nc.p} "
+            f"({nc.orientation.value} scan)"
         )
-    i = candidates[0] if choice == "smallest" else candidates[-1]
+    return candidates[0] if choice == "smallest" else candidates[-1]
+
+
+def _mull(nc: NodeClassification, choice: ResidueChoice, links: dict) -> tuple[int, ...]:
+    """Image parts of the nonempty partition that nc classifies and links lacks.
+
+    Each level classifies its child before descending to it, so a
+    classification that misses the signature cache spends its frames beside
+    the child's level, not below it: the deepest level then needs no more
+    frames than its own operators.
+    """
+    lam, p, orientation = nc.partition, nc.p, nc.orientation
+    i = _good_residue(nc, choice)
     child = _tilde_e(lam, i, p, orientation)
     assert child is not None
-    child_image = Partition._trusted(_mull(child.parts, p, choice, orientation, links))
+    child_parts = links.get(child.parts) if child else ()
+    if child_parts is None:
+        child_parts = _mull(classify_nodes(child, p, orientation), choice, links)
+    child_image = Partition._trusted(child_parts)
     image = _tilde_f(child_image, (p - i) % p, p, orientation)
     if image is None:
         raise InternalInconsistency(
             f"no conormal node of residue {(p - i) % p} on {child_image} "
             f"while lifting {lam} at p={p} ({orientation.value} scan)"
         )
-    links[parts] = (image.parts, i, child.parts)
+    links[lam.parts] = image.parts
     return image.parts
 
 
@@ -85,29 +101,44 @@ def mullineux(
     residue_choice: ResidueChoice = "smallest",
     orientation: Orientation = CALIBRATED_ORIENTATION,
 ) -> MullineuxResult:
-    """Mullineux image of lam via the operator recursion.
+    """Mullineux image of lam via the operator recursion, with its trace.
 
     residue_choice picks which normal residue drives each recursion step;
     the image is independent of it (cross-checked by the harness), so only
     "smallest" (default) and "largest" are offered. orientation is the
     signature scan; only the calibration experiment passes the flipped one.
+    The memo holds images only, so the trace is rebuilt here by descending
+    from lam with the recursion's residue rule; callers that need only the
+    image use mullineux_image.
+    """
+    image = mullineux_image(lam, p, residue_choice, orientation)
+    trace = []
+    cur = lam
+    while cur:
+        i = _good_residue(classify_nodes(cur, p, orientation), residue_choice)
+        trace.append(i)
+        cur = _tilde_e(cur, i, p, orientation)
+    return MullineuxResult(image=image, trace=tuple(trace))
+
+
+def mullineux_image(
+    lam: Partition,
+    p: int,
+    residue_choice: ResidueChoice = "smallest",
+    orientation: Orientation = CALIBRATED_ORIENTATION,
+) -> Partition:
+    """Mullineux image of lam via the operator recursion, without the trace.
+
+    Takes the same arguments as mullineux and returns its image.
     """
     _check_input(lam, p)
     if residue_choice not in ("smallest", "largest"):
         raise ValueError(f"residue_choice must be 'smallest' or 'largest', got {residue_choice!r}")
     links = _MULL_LINKS.setdefault((p, residue_choice, orientation), {})
-    image = _mull(lam.parts, p, residue_choice, orientation, links)
-    trace = []
-    parts = lam.parts
-    while parts:
-        _, i, parts = links[parts]
-        trace.append(i)
-    return MullineuxResult(image=Partition._trusted(image), trace=tuple(trace))
-
-
-def mullineux_image(lam: Partition, p: int) -> Partition:
-    """Just the image, no trace."""
-    return mullineux(lam, p).image
+    image = links.get(lam.parts) if lam else ()
+    if image is None:
+        image = _mull(classify_nodes(lam, p, orientation), residue_choice, links)
+    return Partition._trusted(image)
 
 
 def _remove_p_rim(parts: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int, int]:

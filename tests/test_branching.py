@@ -13,6 +13,7 @@ import random
 import pytest
 
 from modpart import (
+    CALIBRATED_ORIENTATION,
     EMPTY,
     Orientation,
     Partition,
@@ -20,12 +21,14 @@ from modpart import (
     classify_nodes,
     enumerate_partitions,
     is_js,
+    is_p_regular,
     parse_partition,
     removable_nodes,
     residue,
     tilde_e,
     tilde_f,
 )
+from modpart.branching import _tilde_f, _top_conormal
 from modpart.errors import EmptyPartition, NotPRegular
 
 
@@ -263,6 +266,31 @@ class TestOperators:
                         assert tilde_f(tilde_e(lam, i, 5), i, 5) == lam
                     if nc.phi[i]:
                         assert tilde_e(tilde_f(lam, i, 5), i, 5) == lam
+
+
+class TestLiftingScan:
+    # tilde_f finds its node by a bracket pass over one residue, without the
+    # cached classification; the classification's top conormal node is the
+    # oracle, on every partition of n <= 18 (singular ones included), both
+    # scans, every residue: 1,597 partitions x 2 scans x 26 residues.
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_top_conormal_matches_classification(self, p):
+        cases = 0
+        for n in range(19):
+            for lam in enumerate_partitions(n, p):
+                regular = is_p_regular(lam, p)
+                for orientation in Orientation:
+                    conormal = classify_nodes(lam, p, orientation).conormal
+                    for i in range(p):
+                        want = conormal[i][0] if conormal[i] else None
+                        assert _top_conormal(lam.parts, i, p, orientation) == want, (lam, i, orientation)
+                        if regular:
+                            lifted = _tilde_f(lam, i, p, orientation)
+                            assert lifted == (lam.add(want) if want else None), (lam, i, orientation)
+                            if orientation is CALIBRATED_ORIENTATION:
+                                assert tilde_f(lam, i, p) == lifted
+                        cases += 1
+        assert cases == 1597 * 2 * p
 
 
 class TestJsSignature:

@@ -1,5 +1,6 @@
 """CLI: golden outputs, JSON agreement with the library, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -55,6 +56,21 @@ class TestMull:
         assert d["fixed"] is False
         assert d["symbol"] == [[7, 2], [5, 1]]
         assert len(d["trace"]) == 12
+
+    def test_json_digest_pinned(self, capsys):
+        # every p-regular partition of n <= 12, p outer, n ascending, in
+        # enumeration order (621 partitions); the trace is rebuilt by a
+        # descent, so this pins it along with image, symbol and fixed flag
+        lines = []
+        for p in (3, 5, 7):
+            for n in range(13):
+                for lam in enumerate_partitions(n, p, regular_only=True):
+                    code, out, _ = run_cli(capsys, "mull", str(lam), "--p", str(p), "--json")
+                    assert code == 0
+                    lines.append(out)
+        assert len(lines) == 621
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "97530a37c549130ebf5b9528e8c57e138b9c72f0ea7a2edea2e534016175fdff"
 
     def test_exponent_input(self, capsys):
         code, out, _ = run_cli(capsys, "mull", "2^2,1^2", "--p", "5")

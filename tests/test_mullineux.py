@@ -352,10 +352,12 @@ def _two_row_closed_at_5(n, i):
 
 
 class TestLargeN:
-    @pytest.mark.parametrize("n", [900, 903])
+    @pytest.mark.parametrize("n", [900, 903, 980])
     def test_one_row_from_a_cold_start_on_both_routes(self, n):
         # a fresh interpreter, so the recursion descends all n levels on an
-        # empty memo; each prime has its own memo
+        # empty memo; each prime has its own memo. n = 980 pins the frame
+        # budget: _mull spends one recursion-limit frame per level, so a cold
+        # chain of 980 levels fits under the default limit of 1000
         code = (
             "import json\n"
             "from modpart import Partition, mullineux_image, mullineux_via_symbol\n"

@@ -29,14 +29,24 @@ e_tilde removes the bottom (largest-row) normal i-node; f_tilde adds the top
 (smallest-row) conormal i-node. Both return None when the operator is absent
 (eps_i = 0 resp. phi_i = 0); absence is a value, not an error.
 
-Three readers use the cache: classify_nodes, _tilde_e and is_js. The callers
-of _tilde_e classify its input just before (the Mullineux recursion picks its
+Two readers use the cache: classify_nodes and _tilde_e. The callers of
+_tilde_e classify its input just before (the Mullineux recursion picks its
 residue from epsilon, then steps down), so its reads hit. _tilde_f does not
 read the cache: each lifting step of the recursion builds a new image that a
 single query never classifies again (about half of the classifications of a
 stream of random queries were such images), so caching it would only cost
 memory and evict entries that are read again. _tilde_f instead runs the
 bracket pass over residue i alone and builds no NodeClassification.
+
+The readers that want only the counts, is_js and node_counts, take a run walk
+under the calibrated scan that caches nothing. A run of the part x over rows
+s..r holds exactly one removable node, (r, x), and one addable node,
+(s, x + 1); the rows strictly between hold no node, and the only other node
+is the addable (h + 1, 1). So the bottom-up word of the row pass is read off
+the runs alone: (h + 1, 1) first, then each run's removable node and its
+addable node, from the last run up. At the sweep ceiling every partition is
+counted once, so a cached classification would only be built, evicted and
+never read again.
 
 Public functions validate their inputs once. The Mullineux recursion calls
 the private cores _tilde_e/_tilde_f, which take the scan and skip the checks
@@ -123,11 +133,9 @@ def addable_nodes(lam: Partition) -> tuple[Node, ...]:
 
 def removable_nodes(lam: Partition) -> tuple[Node, ...]:
     """All removable nodes, top to bottom."""
-    return tuple(
-        (r, lam.row(r))
-        for r in range(1, lam.height + 1)
-        if lam.row(r) > lam.row(r + 1)
-    )
+    parts = lam.parts
+    h = len(parts)
+    return tuple((r, x) for r, x in enumerate(parts, 1) if r == h or x > parts[r])
 
 
 def _by_residue(nodes: tuple[Node, ...], p: int) -> tuple[tuple[Node, ...], ...]:
@@ -184,6 +192,43 @@ def classify_nodes(
     """
     validate_prime(p)
     return _classify(lam.parts, p, orientation)
+
+
+def _node_counts(parts: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(epsilon, phi) of _classify(parts, p, BOTTOM_UP), by the run walk of the
+    module docstring: one bracket count per residue, no node lists.
+
+    Within a run the removable and addable nodes share a residue only when
+    the run is a multiple of p long, so on singular partitions their order
+    in the word matters and follows the row pass.
+    """
+    h = len(parts)
+    eps, phi = [0] * p, [0] * p
+    phi[-h % p] = 1  # (h + 1, 1) comes first, with nothing open
+    r = h
+    while r:
+        x = parts[r - 1]
+        eps[(x - r) % p] += 1
+        s = r
+        while s > 1 and parts[s - 2] == x:
+            s -= 1
+        i = (x + 1 - s) % p
+        if eps[i]:
+            eps[i] -= 1
+        else:
+            phi[i] += 1
+        r = s - 1
+    return tuple(eps), tuple(phi)
+
+
+def node_counts(lam: Partition, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(epsilon, phi) of classify_nodes(lam, p), without building or caching
+    the node lists.
+
+    Defined for any partition, p-regular or not.
+    """
+    validate_prime(p)
+    return _node_counts(lam.parts, p)
 
 
 def _check_regular(lam: Partition, p: int, what: str) -> None:
@@ -258,4 +303,4 @@ def is_js(lam: Partition, p: int) -> bool:
         raise EmptyPartition("is_js needs a nonempty partition")
     validate_prime(p)
     _check_regular(lam, p, "is_js")
-    return sum(_classify(lam.parts, p, CALIBRATED_ORIENTATION).epsilon) == 1
+    return sum(_node_counts(lam.parts, p)[0]) == 1

@@ -30,6 +30,7 @@ from .branching import (
     Orientation,
     classify_nodes,
     is_js,
+    node_counts,
     removable_nodes,
     tilde_e,
     tilde_f,
@@ -81,8 +82,8 @@ def _check_l52(n: int, p: int):
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p):
         inst += 1
-        nc = classify_nodes(lam, p)
-        se, sp = sum(nc.epsilon), sum(nc.phi)
+        eps, phi = node_counts(lam, p)
+        se, sp = sum(eps), sum(phi)
         if sp != se + 1:
             cxs.append(_cx(p, n, lam, f"eps_total={se}, phi_total={sp}", "phi_total == eps_total + 1"))
     return inst, cxs, None
@@ -125,9 +126,10 @@ def _check_l12(n: int, p: int):
             for i in range(p):
                 if i == j:
                     continue
-                if not set(ncb.normal[i]) <= set(nca.normal[i]) or not set(
-                    nca.conormal[i]
-                ) <= set(ncb.conormal[i]):
+                # An empty list is a subset of anything, so it needs no set.
+                if (ncb.normal[i] and not set(ncb.normal[i]) <= set(nca.normal[i])) or (
+                    nca.conormal[i] and not set(nca.conormal[i]) <= set(ncb.conormal[i])
+                ):
                     cxs.append(
                         _cx(
                             p, n, beta,

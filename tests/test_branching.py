@@ -22,6 +22,7 @@ from modpart import (
     enumerate_partitions,
     is_js,
     is_p_regular,
+    node_counts,
     parse_partition,
     removable_nodes,
     residue,
@@ -291,6 +292,32 @@ class TestLiftingScan:
                                 assert tilde_f(lam, i, p) == lifted
                         cases += 1
         assert cases == 1597 * 2 * p
+
+
+class TestNodeCounts:
+    # The run walk against the cached classification's counts under the
+    # calibrated scan, on every partition of n <= 22, singular ones included:
+    # 4,508 partitions per p. Only this check sees a walk that puts a run's
+    # addable node before its removable node: the two share a residue only
+    # in a run a multiple of p long, and there both counts move by one, so
+    # the sweeps' totals still balance.
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_walk_matches_classification(self, p):
+        cases = singular = 0
+        for n in range(23):
+            for lam in enumerate_partitions(n, p):
+                singular += not is_p_regular(lam, p)
+                nc = classify_nodes(lam, p, CALIBRATED_ORIENTATION)
+                assert node_counts(lam, p) == (nc.epsilon, nc.phi), lam
+                cases += 1
+        assert cases == 4508
+        assert singular > 0
+
+    def test_empty_and_a_run_of_p_rows(self):
+        assert node_counts(EMPTY, 5) == ((0, 0, 0, 0, 0), (1, 0, 0, 0, 0))
+        # (3,1) and (1,2) are both 1-nodes: bottom-up the removable one comes
+        # first and the addable one cancels it
+        assert node_counts(Partition((1, 1, 1)), 3) == ((0, 0, 0), (1, 0, 0))
 
 
 class TestJsSignature:

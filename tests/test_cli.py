@@ -279,6 +279,19 @@ class TestReport:
             "JSEQ", "L23", "L29", "L18", "L20A", "NUWF",
         ]
 
+    def test_python_dash_m_runs_the_cli(self):
+        # `python -m modpart` is the same command line as the `modpart` script
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "modpart", "report", "--max-n", "6"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 13
+
     def test_max_n_3_is_exit_0(self, capsys):
         # the smallest bound at which the calibration can single out a scan
         code, out, _ = run_cli(capsys, "report", "--max-n", "3")

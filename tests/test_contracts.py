@@ -45,6 +45,7 @@ def _residue(i, p):
 # (EMPTY, 9)); the operators take a residue before p.
 LAM_P = {
     "classify_nodes": ((), (None, None, P9, P9)),
+    "node_counts": ((), (None, None, P9, P9)),
     "tilde_e": ((0,), (_sing("tilde_e"), None, P9, P9)),
     "tilde_f": ((0,), (_sing("tilde_f"), None, P9, P9)),
     "is_js": ((), (_sing("is_js"), (EmptyPartition, "is_js needs a nonempty partition"), P9,

@@ -222,7 +222,7 @@ def _cmd_verify(args) -> int:
             if not rep.passed:
                 line += f"  counterexamples={rep.counterexamples_total} first={json.dumps(rep.counterexamples[0])}"
             print(line)
-    expected = len(checks) if checks else len(CHECK_ORDER)
+    expected = len(set(checks)) if checks else len(CHECK_ORDER)
     failed = [rep.id for rep in reports if not rep.passed]
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)

@@ -21,21 +21,32 @@ from typing import Iterator
 
 from .errors import EmptyPartition, NotPRegular
 from .mullineux import is_mullineux_fixed
-from .partitions import Partition, _regular, exponent_form, validate_prime
+from .partitions import Partition, _regular, validate_prime
 
 
 def is_js_arith(lam: Partition, p: int) -> bool:
-    """Arithmetic JS test on the exponent form; no node bookkeeping at all."""
+    """Arithmetic JS test by the congruence; no node bookkeeping at all.
+
+    One pass over the runs a^b of lam.parts, building no exponent form: prev
+    holds a_k + b_k of the run before the current one, and the end of each
+    later run checks the congruence against it.
+    """
     validate_prime(p)
     if not lam:
         raise EmptyPartition("is_js_arith needs a nonempty partition")
     if not _regular(lam.parts, p):
         raise NotPRegular(f"is_js_arith needs a p-regular partition, got {lam} at p={p}")
-    runs = exponent_form(lam)
-    return all(
-        (runs[k][0] - runs[k + 1][0] + runs[k][1] + runs[k + 1][1]) % p == 0
-        for k in range(len(runs) - 1)
-    )
+    parts = lam.parts
+    prev = None
+    a, b = parts[0], 0
+    for x in parts:
+        if x == a:
+            b += 1
+            continue
+        if prev is not None and (prev - a + b) % p:
+            return False
+        prev, a, b = a + b, x, 1
+    return prev is None or (prev - a + b) % p == 0
 
 
 def enumerate_js(n: int, p: int, fixed_only: bool = False) -> Iterator[Partition]:

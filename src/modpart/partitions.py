@@ -3,6 +3,11 @@
 A partition is a weakly decreasing tuple of positive integers. Nodes of the
 Young diagram are 1-based (row, col) pairs; the residue of a node is
 (col - row) mod p. All operations here are exact integer combinatorics.
+
+Partitions of n are enumerated in descending lex order by one successor-step
+generator with a cap on every part's multiplicity: p - 1 for the p-regular
+partitions, none for all of them. Its work follows the number of partitions
+it yields, so a p-regular sweep does not pay for the singular ones.
 """
 
 from __future__ import annotations
@@ -225,8 +230,11 @@ def enumerate_partitions(
 ) -> Iterator[Partition]:
     """All partitions of n in descending lexicographic order.
 
-    With regular_only, only the p-regular ones are yielded. Streaming
-    generator; n = 0 yields exactly the empty partition.
+    With regular_only, only the p-regular ones are yielded: they are
+    generated directly, with every multiplicity capped at p - 1, not filtered
+    from all partitions of n. Streaming generator whose work per item is
+    constant on average, so it follows the number of partitions yielded;
+    n = 0 yields exactly the empty partition.
     """
     validate_prime(p)
     if n < 0:
@@ -234,9 +242,8 @@ def enumerate_partitions(
     if n == 0:
         yield EMPTY
         return
-    for parts in _descending_lex(n):
-        if not regular_only or _regular(parts, p):
-            yield Partition._trusted(parts)
+    for parts in _descending_lex(n, p - 1 if regular_only else n):
+        yield Partition._trusted(parts)
 
 
 def _regular(parts: tuple[int, ...], p: int) -> bool:
@@ -249,28 +256,57 @@ def _regular(parts: tuple[int, ...], p: int) -> bool:
     return True
 
 
-def _descending_lex(n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n >= 1, largest-first order ((n), ..., (1^n))."""
+def _descending_lex(n: int, q: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n >= 1 with no part repeated more than q >= 2 times, in
+    descending lex order; q >= n caps nothing.
+
+    Each step goes straight to the successor. The rightmost part a > 1 that
+    can shrink is the one whose suffix sum rest (a included) still fits into
+    parts <= v = a - 1, each at most q times: 2 * rest <= q * v * (v + 1).
+    That part becomes v, and the rest of rest is refilled greedily: v up to
+    q - 1 more times, then v - 1, v - 2, ... up to q times each. As in
+    Zoghbi and Stojmenovic's ZS1 (1998), the tail of 1s is never walked: h
+    marks the last part > 1, and a last part 2 that may split into 1, 1 does
+    so in one step. On average a step reads fewer than two parts (counted for
+    n <= 90 and 2 <= q <= 12), so the work follows the output.
+    """
     parts = [n]
+    h = 0 if n > 1 else -1  # index of the last part > 1; parts[h + 1:] are 1s
     while True:
         yield tuple(parts)
-        # Find the rightmost part > 1; everything after it is a tail of 1s.
-        k = len(parts) - 1
-        ones = 0
-        while k >= 0 and parts[k] == 1:
-            ones += 1
-            k -= 1
-        if k < 0:
+        if h < 0:
             return
-        parts[k] -= 1
-        rem = ones + 1
-        del parts[k + 1 :]
-        # Redistribute the remainder greedily under the new cap parts[k].
-        cap = parts[k]
-        while rem > 0:
-            take = min(cap, rem)
-            parts.append(take)
-            rem -= take
+        ones = len(parts) - h - 1
+        if parts[h] == 2 and ones < q - 1:
+            parts[h] = 1
+            parts.append(1)
+            h -= 1
+            continue
+        j, rest = h, ones
+        while True:
+            a = parts[j]
+            rest += a
+            if 2 * rest <= q * a * (a - 1):
+                break
+            j -= 1
+            if j < 0:
+                return
+        # Only parts[h] can be a 2 that shrinks, and the split above takes it:
+        # here v >= 2, so parts[h] below is the last part > 1.
+        v = a - 1
+        rest -= v
+        del parts[j + 1 :]
+        parts[j] = v
+        c, cap = v, q - 1
+        while rest > 1 and c > 1:
+            if c > rest:
+                c, cap = rest, q
+            k = min(cap, rest // c)
+            parts += [c] * k
+            rest -= k * c
+            c, cap = c - 1, q
+        h = len(parts) - 1
+        parts += [1] * rest
 
 
 def specht_dimension(lam: Partition) -> int:

@@ -6,11 +6,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from modpart import classify_nodes, classify_tensor, enumerate_partitions, make_label, parse_partition
+from modpart import CHECKS, classify_nodes, classify_tensor, enumerate_partitions, make_label, parse_partition
 from modpart.cli import main
 
 REFERENCE_REPORT = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "report-default.jsonl"
@@ -253,6 +254,19 @@ class TestVerify:
         assert "FAILED: MULLX" in err
         assert "calibration gate failed" in err
         assert "MULLX" in out and "FAIL" in out
+
+    def test_failing_duplicated_check_is_not_a_gate_failure(self, capsys, monkeypatch):
+        # run_all runs a repeated id once; a failing non-gate check must not
+        # be reported as skipping the checks after it
+        def failing(n, p):
+            return 1, [{"n": n, "p": p}], None
+
+        monkeypatch.setitem(CHECKS, "L52", replace(CHECKS["L52"], fn=failing))
+        code, out, err = run_cli(capsys, "verify", "--max-n", "4", "--checks", "L52,L52")
+        assert code == 1
+        assert "FAILED: L52" in err
+        assert "calibration gate failed" not in err
+        assert out.count("L52") == 1
 
     def test_unknown_check_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--checks", "NOPE", "--max-n", "4")

@@ -3,7 +3,8 @@
 The counting oracles are independent of the enumerator: Euler's pentagonal
 recurrence for p(n), a parts-coprime-to-p counter for the regular counts
 (they agree by Glaisher's bijection), and a corner-peeling recursion for
-standard tableaux.
+standard tableaux. Order and content are checked against a plain uncapped
+walk over all partitions, filtered by counting each part's copies.
 """
 
 from functools import lru_cache
@@ -65,6 +66,34 @@ def _coprime_parts_count(n: int, p: int) -> int:
         for m in range(part, n + 1):
             table[m] += table[m - part]
     return table[n]
+
+
+def _filtered_walk(n: int):
+    """All partitions of n in descending lex order, by the plain uncapped
+    walk: find the rightmost part > 1 by stepping over the tail of 1s, lower
+    it by one, refill greedily under it."""
+    if n == 0:
+        yield ()
+        return
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        k, rem = len(parts) - 1, 1
+        while k >= 0 and parts[k] == 1:
+            k, rem = k - 1, rem + 1
+        if k < 0:
+            return
+        parts[k] -= 1
+        del parts[k + 1 :]
+        while rem:
+            take = min(parts[k], rem)
+            parts.append(take)
+            rem -= take
+
+
+def _no_run_of(parts: tuple[int, ...], p: int) -> bool:
+    """No part repeated p or more times, by counting each part's copies."""
+    return all(parts.count(x) < p for x in set(parts))
 
 
 @lru_cache(maxsize=None)
@@ -245,12 +274,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_partitions(-1, 5))
 
-    @pytest.mark.parametrize("n", range(0, 21))
+    @pytest.mark.parametrize("n", range(0, 41))
     def test_counts_match_pentagonal_oracle(self, n):
-        assert sum(1 for _ in enumerate_partitions(n, 3)) == _pentagonal_count(n)
+        for p in (3, 5, 7):
+            assert sum(1 for _ in enumerate_partitions(n, p)) == _pentagonal_count(n)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
-    @pytest.mark.parametrize("n", range(0, 16))
+    @pytest.mark.parametrize("n", range(0, 41))
     def test_regular_counts_match_coprime_oracle(self, n, p):
         got = sum(1 for _ in enumerate_partitions(n, p, regular_only=True))
         assert got == (_coprime_parts_count(n, p) if n else 1)
@@ -263,6 +293,20 @@ class TestEnumeration:
     def test_strictly_descending_lex(self):
         items = list(enumerate_partitions(8, 5))
         assert all(a > b for a, b in zip(items, items[1:]))
+
+    @pytest.mark.parametrize("n", range(0, 31))
+    def test_matches_filtered_walk(self, n):
+        # order and content, all partitions and the p-regular ones
+        walk = list(_filtered_walk(n))
+        assert [lam.parts for lam in enumerate_partitions(n, 3)] == walk
+        for p in (3, 5, 7, 11):
+            got = [lam.parts for lam in enumerate_partitions(n, p, regular_only=True)]
+            assert got == [parts for parts in walk if _no_run_of(parts, p)]
+
+    def test_matches_filtered_walk_at_40(self):
+        got = [lam.parts for lam in enumerate_partitions(40, 5, regular_only=True)]
+        assert got == [parts for parts in _filtered_walk(40) if _no_run_of(parts, 5)]
+        assert len(got) == 17034
 
 
 class TestRegularity:

@@ -48,9 +48,9 @@ addable node, from the last run up. At the sweep ceiling every partition is
 counted once, so a cached classification would only be built, evicted and
 never read again.
 
-Public functions validate their inputs once. The Mullineux recursion calls
-the private cores _tilde_e/_tilde_f, which take the scan and skip the checks
-of p and i that its entry point has already made.
+Public functions validate their inputs once: the partition's type, p and i.
+The Mullineux recursion calls the private cores _tilde_e/_tilde_f, which take
+the scan and skip the checks that its entry point has already made.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import EmptyPartition, NotPRegular
-from .partitions import Node, Partition, _regular, validate_prime
+from .partitions import Node, Partition, _check_partition, _regular, validate_prime
 
 
 class Orientation(Enum):
@@ -123,6 +123,7 @@ class NodeClassification:
 
 def addable_nodes(lam: Partition) -> tuple[Node, ...]:
     """All addable nodes, top to bottom."""
+    _check_partition(lam)
     out = []
     for r in range(1, lam.height + 1):
         if r == 1 or lam.row(r - 1) > lam.row(r):
@@ -133,9 +134,9 @@ def addable_nodes(lam: Partition) -> tuple[Node, ...]:
 
 def removable_nodes(lam: Partition) -> tuple[Node, ...]:
     """All removable nodes, top to bottom."""
-    parts = lam.parts
-    h = len(parts)
-    return tuple((r, x) for r, x in enumerate(parts, 1) if r == h or x > parts[r])
+    _check_partition(lam)
+    h = len(lam)
+    return tuple((r, x) for r, x in enumerate(lam, 1) if r == h or x > lam[r])
 
 
 def _by_residue(nodes: tuple[Node, ...], p: int) -> tuple[tuple[Node, ...], ...]:
@@ -150,18 +151,18 @@ def _by_residue(nodes: tuple[Node, ...], p: int) -> tuple[tuple[Node, ...], ...]
 # report's whole working set (12,618 classifications), which 4,096 entries
 # evicted between L52 and L18.
 @lru_cache(maxsize=16384)
-def _classify(parts: tuple[int, ...], p: int, orientation: Orientation):
+def _classify(lam: Partition, p: int, orientation: Orientation):
     # The single pass of the module docstring, over rows 1..h+1. It meets
     # every addable and removable node but keeps only the survivors.
-    h = len(parts)
+    h = len(lam)
     stack: list[list[Node]] = [[] for _ in range(p)]
     conormal: list[list[Node]] = [[] for _ in range(p)]
     bottom_up = orientation is Orientation.BOTTOM_UP
     for r in range(h + 1, 0, -1) if bottom_up else range(1, h + 2):
-        x = parts[r - 1] if r <= h else 0
-        if x > (parts[r] if r < h else 0):
+        x = lam[r - 1] if r <= h else 0
+        if x > (lam[r] if r < h else 0):
             stack[(x - r) % p].append((r, x))
-        if r == 1 or parts[r - 2] > x:
+        if r == 1 or lam[r - 2] > x:
             i = (x + 1 - r) % p
             if stack[i]:
                 stack[i].pop()
@@ -173,7 +174,7 @@ def _classify(parts: tuple[int, ...], p: int, orientation: Orientation):
         for nodes in (*stack, *conormal):
             nodes.reverse()
     return NodeClassification(
-        partition=Partition._trusted(parts),
+        partition=lam,
         p=p,
         orientation=orientation,
         normal=tuple(map(tuple, stack)),
@@ -190,27 +191,28 @@ def classify_nodes(
 
     Defined for any partition, p-regular or not.
     """
+    _check_partition(lam)
     validate_prime(p)
-    return _classify(lam.parts, p, orientation)
+    return _classify(lam, p, orientation)
 
 
-def _node_counts(parts: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(epsilon, phi) of _classify(parts, p, BOTTOM_UP), by the run walk of the
+def _node_counts(lam: Partition, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(epsilon, phi) of _classify(lam, p, BOTTOM_UP), by the run walk of the
     module docstring: one bracket count per residue, no node lists.
 
     Within a run the removable and addable nodes share a residue only when
     the run is a multiple of p long, so on singular partitions their order
     in the word matters and follows the row pass.
     """
-    h = len(parts)
+    h = len(lam)
     eps, phi = [0] * p, [0] * p
     phi[-h % p] = 1  # (h + 1, 1) comes first, with nothing open
     r = h
     while r:
-        x = parts[r - 1]
+        x = lam[r - 1]
         eps[(x - r) % p] += 1
         s = r
-        while s > 1 and parts[s - 2] == x:
+        while s > 1 and lam[s - 2] == x:
             s -= 1
         i = (x + 1 - s) % p
         if eps[i]:
@@ -227,12 +229,13 @@ def node_counts(lam: Partition, p: int) -> tuple[tuple[int, ...], tuple[int, ...
 
     Defined for any partition, p-regular or not.
     """
+    _check_partition(lam)
     validate_prime(p)
-    return _node_counts(lam.parts, p)
+    return _node_counts(lam, p)
 
 
 def _check_regular(lam: Partition, p: int, what: str) -> None:
-    if not _regular(lam.parts, p):
+    if not _regular(lam, p):
         raise NotPRegular(f"{what} needs a p-regular partition, got {lam} at p={p}")
 
 
@@ -244,27 +247,27 @@ def _check_residue(i: int, p: int) -> None:
 def _tilde_e(lam: Partition, i: int, p: int, orientation: Orientation) -> Partition | None:
     """tilde_e for a valid p and residue i, under the given scan."""
     _check_regular(lam, p, "tilde_e")
-    normal = _classify(lam.parts, p, orientation).normal[i]
+    normal = _classify(lam, p, orientation).normal[i]
     return lam.remove(normal[-1]) if normal else None
 
 
-def _top_conormal(parts: tuple[int, ...], i: int, p: int, orientation: Orientation) -> Node | None:
+def _top_conormal(lam: Partition, i: int, p: int, orientation: Orientation) -> Node | None:
     """classify_nodes(...).conormal[i][0], or None when phi_i = 0, by a bracket
     pass over residue i alone that caches nothing.
 
     An addable i-node that finds no open removable i-node survives for good,
     so the top survivor is the last one met bottom-up, the first one top-down.
     """
-    h = len(parts)
+    h = len(lam)
     bottom_up = orientation is Orientation.BOTTOM_UP
     open_removable = 0
     top = None
     for r in range(h + 1, 0, -1) if bottom_up else range(1, h + 2):
-        x = parts[r - 1] if r <= h else 0
+        x = lam[r - 1] if r <= h else 0
         if (x - r) % p == i:
-            if x > (parts[r] if r < h else 0):
+            if x > (lam[r] if r < h else 0):
                 open_removable += 1
-        elif (x + 1 - r) % p == i and (r == 1 or parts[r - 2] > x):
+        elif (x + 1 - r) % p == i and (r == 1 or lam[r - 2] > x):
             if open_removable:
                 open_removable -= 1
             else:
@@ -277,13 +280,14 @@ def _top_conormal(parts: tuple[int, ...], i: int, p: int, orientation: Orientati
 def _tilde_f(lam: Partition, i: int, p: int, orientation: Orientation) -> Partition | None:
     """tilde_f for a valid p and residue i, under the given scan."""
     _check_regular(lam, p, "tilde_f")
-    node = _top_conormal(lam.parts, i, p, orientation)
+    node = _top_conormal(lam, i, p, orientation)
     return lam.add(node) if node else None
 
 
 def tilde_e(lam: Partition, i: int, p: int) -> Partition | None:
     """Remove the bottom normal i-node of a p-regular lam under the calibrated
     scan; None when there is none."""
+    _check_partition(lam)
     validate_prime(p)
     _check_residue(i, p)
     return _tilde_e(lam, i, p, CALIBRATED_ORIENTATION)
@@ -292,6 +296,7 @@ def tilde_e(lam: Partition, i: int, p: int) -> Partition | None:
 def tilde_f(lam: Partition, i: int, p: int) -> Partition | None:
     """Add the top conormal i-node of a p-regular lam under the calibrated
     scan; None when there is none."""
+    _check_partition(lam)
     validate_prime(p)
     _check_residue(i, p)
     return _tilde_f(lam, i, p, CALIBRATED_ORIENTATION)
@@ -299,8 +304,9 @@ def tilde_f(lam: Partition, i: int, p: int) -> Partition | None:
 
 def is_js(lam: Partition, p: int) -> bool:
     """True when lam has exactly one normal node (signature definition)."""
+    _check_partition(lam)
     if not lam:
         raise EmptyPartition("is_js needs a nonempty partition")
     validate_prime(p)
     _check_regular(lam, p, "is_js")
-    return sum(_node_counts(lam.parts, p)[0]) == 1
+    return sum(_node_counts(lam, p)[0]) == 1

@@ -330,7 +330,7 @@ def _one_row_closed(n: int, p: int) -> Partition:
 
 
 def _two_row_closed(n: int, i: int) -> Partition:
-    return Partition(_one_row_closed(n - i, 5).parts + (1,) * i)
+    return Partition(_one_row_closed(n - i, 5) + (1,) * i)
 
 
 def _check_closed(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATION):

@@ -21,25 +21,25 @@ from typing import Iterator
 
 from .errors import EmptyPartition, NotPRegular
 from .mullineux import is_mullineux_fixed
-from .partitions import Partition, _regular, validate_prime
+from .partitions import Partition, _check_partition, _regular, validate_prime
 
 
 def is_js_arith(lam: Partition, p: int) -> bool:
     """Arithmetic JS test by the congruence; no node bookkeeping at all.
 
-    One pass over the runs a^b of lam.parts, building no exponent form: prev
+    One pass over the runs a^b of lam, building no exponent form: prev
     holds a_k + b_k of the run before the current one, and the end of each
     later run checks the congruence against it.
     """
+    _check_partition(lam)
     validate_prime(p)
     if not lam:
         raise EmptyPartition("is_js_arith needs a nonempty partition")
-    if not _regular(lam.parts, p):
+    if not _regular(lam, p):
         raise NotPRegular(f"is_js_arith needs a p-regular partition, got {lam} at p={p}")
-    parts = lam.parts
     prev = None
-    a, b = parts[0], 0
-    for x in parts:
+    a, b = lam[0], 0
+    for x in lam:
         if x == a:
             b += 1
             continue

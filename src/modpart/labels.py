@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedCharacteristic,
 )
 from .mullineux import canonical_label, is_mullineux_fixed, mullineux_image
-from .partitions import Partition
+from .partitions import Partition, _check_partition
 
 
 class LabelKind(Enum):
@@ -75,6 +75,7 @@ class AnIrreducible:
 
 def make_label(lam: Partition, p: int, sign: int | str | None = None) -> AnIrreducible:
     """Build a validated label from a p-regular partition and optional sign."""
+    _check_partition(lam)
     if not lam:
         raise EmptyPartition("labels need a nonempty partition")
     if isinstance(sign, str):
@@ -96,11 +97,15 @@ def is_dimension_one(label: AnIrreducible) -> bool:
     """Whether the label names a one-dimensional module.
 
     Nonsplit labels: exactly the {(n), M((n))} pair (the two one-dimensional
-    modules of the ambient group restrict to the same module). Split labels:
-    exactly n <= 4, where the split halves are one-dimensional.
+    modules of the ambient group restrict to the same module). A nonsplit
+    label stores the lexicographically larger member of its pair, and (n) is
+    the largest partition of n, so that pair's label is (n) itself: the test
+    compares with (n) and never computes M((n)), a chain of n recursion
+    levels. Split labels: exactly n <= 4, where the split halves are
+    one-dimensional.
     """
     if label.kind is LabelKind.NONSPLIT:
-        return label.partition == canonical_label(Partition((label.n,)), label.p)
+        return label.partition == Partition((label.n,))
     return label.n <= 4
 
 
@@ -111,10 +116,11 @@ def nu_of(lam: Partition) -> Partition:
     (lam_1 - 1 < lam_2, or a vanishing first part); the classifier's inputs
     never hit this, and the harness checks that they do not.
     """
+    _check_partition(lam)
     if not lam:
         raise EmptyPartition("nu_of needs a nonempty partition")
-    parts = (lam.parts[0] - 1,) + lam.parts[1:] + (1,)
-    if parts[0] == 0 or (len(lam.parts) > 1 and parts[0] < parts[1]):
+    parts = (lam[0] - 1,) + lam[1:] + (1,)
+    if parts[0] == 0 or (len(lam) > 1 and parts[0] < parts[1]):
         raise InternalInconsistency(
             f"moving the top removable node of {lam} to the bottom does not yield a partition"
         )

@@ -29,7 +29,7 @@ from .branching import (
     classify_nodes,
 )
 from .errors import InternalInconsistency, NotPRegular, ReconstructionFailure
-from .partitions import EMPTY, Partition, _regular, validate_prime
+from .partitions import EMPTY, Partition, _check_partition, _regular, validate_prime
 
 ResidueChoice = str  # "smallest" | "largest"
 
@@ -43,18 +43,19 @@ class MullineuxResult:
 
 
 def _check_input(lam: Partition, p: int) -> None:
+    _check_partition(lam)
     validate_prime(p)
-    if not _regular(lam.parts, p):
+    if not _regular(lam, p):
         raise NotPRegular(f"the Mullineux map is defined on p-regular partitions, got {lam} at p={p}")
 
 
-# (p, residue choice, orientation) -> {parts: image parts}. One link per
+# (p, residue choice, orientation) -> {partition: image}. One link per
 # partition keeps a chain of n steps at O(n) memory. Links hold images only:
 # mullineux() rebuilds the residue trace on demand by one descent. The memo is
 # read inline, never through a cache wrapper, so each level of the recursion
 # costs one recursion-limit frame (a C cache wrapper costs two). Failures are
 # not stored.
-_MULL_LINKS: dict[tuple, dict[tuple[int, ...], tuple[int, ...]]] = {}
+_MULL_LINKS: dict[tuple, dict[Partition, Partition]] = {}
 
 
 def _good_residue(nc: NodeClassification, choice: ResidueChoice) -> int:
@@ -69,8 +70,8 @@ def _good_residue(nc: NodeClassification, choice: ResidueChoice) -> int:
     return candidates[0] if choice == "smallest" else candidates[-1]
 
 
-def _mull(nc: NodeClassification, choice: ResidueChoice, links: dict) -> tuple[int, ...]:
-    """Image parts of the nonempty partition that nc classifies and links lacks.
+def _mull(nc: NodeClassification, choice: ResidueChoice, links: dict) -> Partition:
+    """Image of the nonempty partition that nc classifies and links lacks.
 
     Each level classifies its child before descending to it, so a
     classification that misses the signature cache spends its frames beside
@@ -81,18 +82,17 @@ def _mull(nc: NodeClassification, choice: ResidueChoice, links: dict) -> tuple[i
     i = _good_residue(nc, choice)
     child = _tilde_e(lam, i, p, orientation)
     assert child is not None
-    child_parts = links.get(child.parts) if child else ()
-    if child_parts is None:
-        child_parts = _mull(classify_nodes(child, p, orientation), choice, links)
-    child_image = Partition._trusted(child_parts)
+    child_image = links.get(child) if child else EMPTY
+    if child_image is None:
+        child_image = _mull(classify_nodes(child, p, orientation), choice, links)
     image = _tilde_f(child_image, (p - i) % p, p, orientation)
     if image is None:
         raise InternalInconsistency(
             f"no conormal node of residue {(p - i) % p} on {child_image} "
             f"while lifting {lam} at p={p} ({orientation.value} scan)"
         )
-    links[lam.parts] = image.parts
-    return image.parts
+    links[lam] = image
+    return image
 
 
 def mullineux(
@@ -135,10 +135,10 @@ def mullineux_image(
     if residue_choice not in ("smallest", "largest"):
         raise ValueError(f"residue_choice must be 'smallest' or 'largest', got {residue_choice!r}")
     links = _MULL_LINKS.setdefault((p, residue_choice, orientation), {})
-    image = links.get(lam.parts) if lam else ()
+    image = links.get(lam) if lam else EMPTY
     if image is None:
         image = _mull(classify_nodes(lam, p, orientation), residue_choice, links)
-    return Partition._trusted(image)
+    return image
 
 
 def _remove_p_rim(parts: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int, int]:
@@ -170,10 +170,11 @@ def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int, int]:
     rightmost rim node. The final segment may be shorter. Every row loses at
     least one node, so rows met = height of lam.
     """
+    _check_partition(lam)
     if not lam:
         raise ValueError("cannot remove a p-rim from the empty partition")
     validate_prime(p)
-    rest, a, r = _remove_p_rim(lam.parts, p)
+    rest, a, r = _remove_p_rim(lam, p)
     return Partition._trusted(rest), a, r
 
 
@@ -181,7 +182,7 @@ def mullineux_symbol(lam: Partition, p: int) -> tuple[tuple[int, int], ...]:
     """Rim symbol ((a_1, r_1), ..., (a_k, r_k)); empty for the empty partition."""
     _check_input(lam, p)
     rows = []
-    parts = lam.parts
+    parts = lam
     while parts:
         parts, a, r = _remove_p_rim(parts, p)
         rows.append((a, r))
@@ -209,13 +210,14 @@ def attach_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
     the unique one; none or several raise ReconstructionFailure. One forward
     removal checks the result.
     """
+    _check_partition(mu)
     validate_prime(p)
     if a < r or r < len(mu) or r < 1:
         raise ReconstructionFailure(f"no partition adds a {p}-rim of {a} nodes over {r} rows onto {mu}")
     m = -(-a // p)  # ceil
     if m > r:
         raise ReconstructionFailure(f"a {p}-rim of {a} nodes needs at most {a // p} segment rows, got r={r}")
-    mu_pad = mu.parts + (0,) * (r - len(mu))
+    mu_pad = mu + (0,) * (r - len(mu))
     last = a - p * (m - 1)
     # ways[s]: boundary sets for segments k..m when segment k starts at row s
     # (rows and segments 0-based). Past row r there is one way to place no
@@ -244,12 +246,12 @@ def attach_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
     for k in range(m):
         e, nu[s] = found[k, s]
         s = e + 1
-    parts = tuple(nu)
-    if _remove_p_rim(parts, p) != (mu.parts, a, r):
+    image = Partition._trusted(nu)
+    if _remove_p_rim(image, p) != (mu, a, r):
         raise InternalInconsistency(
             f"inverse p-rim attachment onto {mu} with (a, r)=({a}, {r}) at p={p} built {nu}"
         )
-    return Partition._trusted(parts)
+    return image
 
 
 def mullineux_via_symbol(lam: Partition, p: int) -> Partition:
@@ -258,7 +260,7 @@ def mullineux_via_symbol(lam: Partition, p: int) -> Partition:
     for a, r in reversed(mullineux_symbol(lam, p)):
         s = a - r + (1 if a % p else 0)
         image = attach_p_rim(image, a, s, p)
-    if not _regular(image.parts, p):
+    if not _regular(image, p):
         raise InternalInconsistency(f"symbol route produced a p-singular image {image} for {lam} at p={p}")
     return image
 

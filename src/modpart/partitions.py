@@ -1,8 +1,10 @@
 """Integer partitions and their p-modular bookkeeping.
 
-A partition is a weakly decreasing tuple of positive integers. Nodes of the
-Young diagram are 1-based (row, col) pairs; the residue of a node is
-(col - row) mod p. All operations here are exact integer combinatorics.
+A partition is a Partition: a weakly decreasing tuple of positive integers,
+checked when built from input and passed as itself through every layer.
+Nodes of the Young diagram are 1-based (row, col) pairs; the residue of a
+node is (col - row) mod p. All operations here are exact integer
+combinatorics.
 
 Partitions of n are enumerated in descending lex order by one successor-step
 generator with a cap on every part's multiplicity: p - 1 for the p-regular
@@ -48,106 +50,84 @@ def validate_prime(p: int) -> int:
     return p
 
 
-class Partition:
-    """Immutable weakly decreasing sequence of positive parts.
+class Partition(tuple):
+    """A tuple of weakly decreasing positive parts, validated on construction.
 
-    Comparison is lexicographic on the part tuples, which is also the
-    enumeration order used throughout (descending lex).
+    Length, iteration, indexing, hashing and comparison are the tuple's:
+    order is lexicographic, the enumeration order used throughout, and a
+    partition equals the plain tuple of its parts, Partition((2, 1)) ==
+    (2, 1). A plain tuple is still not a Partition: the public functions
+    reject it (_check_partition), so only checked parts reach the kernels.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(parts)
-        for x in parts:
+        # tuple.__new__ has consumed parts, which may be an iterator
+        for x in self:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise MalformedPartition(f"parts must be integers, got {x!r}")
             if x <= 0:
                 raise NonPositivePart(f"parts must be positive, got {x}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise NotWeaklyDecreasing(f"parts must be weakly decreasing, got {parts}")
-        object.__setattr__(self, "parts", parts)
+        if any(self[i] < self[i + 1] for i in range(len(self) - 1)):
+            raise NotWeaklyDecreasing(f"parts must be weakly decreasing, got {tuple(self)}")
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
-        """Wrap a tuple without checking it.
+        """parts as a Partition, unchecked; a Partition comes back as it is.
 
-        Only for tuples the package derived from a partition it has already
-        validated; every user-facing entry point builds Partition(...).
+        Only for tuples derived from a partition already validated; every
+        user-facing entry point builds Partition(...).
         """
-        lam = object.__new__(cls)
-        object.__setattr__(lam, "parts", parts)
-        return lam
+        return parts if isinstance(parts, cls) else tuple.__new__(cls, parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    @property
+    def parts(self) -> "Partition":
+        """The partition itself: the parts as a tuple."""
+        return self
 
     @property
     def size(self) -> int:
         """Number of nodes, |lambda|."""
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def height(self) -> int:
         """Number of parts, h(lambda)."""
-        return len(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
-
-    def __le__(self, other: "Partition") -> bool:
-        return self.parts <= other.parts
-
-    def __gt__(self, other: "Partition") -> bool:
-        return self.parts > other.parts
-
-    def __ge__(self, other: "Partition") -> bool:
-        return self.parts >= other.parts
+        return len(self)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def __str__(self) -> str:
         return format_partition(self)
 
     def row(self, i: int) -> int:
         """Length of row i (1-based), 0 beyond the last row."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
+        return self[i - 1] if 1 <= i <= len(self) else 0
 
     def remove(self, node: Node) -> "Partition":
         """Partition with one removable node deleted."""
         r, c = node
         if self.row(r) != c or self.row(r + 1) >= c:
             raise ValueError(f"{node} is not a removable node of {self}")
-        parts = self.parts
-        x = parts[r - 1] - 1
-        return Partition._trusted(parts[: r - 1] + ((x,) if x else ()) + parts[r:])
+        x = self[r - 1] - 1
+        return Partition._trusted(self[: r - 1] + ((x,) if x else ()) + self[r:])
 
     def add(self, node: Node) -> "Partition":
         """Partition with one addable node appended."""
         r, c = node
         if not (self.row(r) + 1 == c and (r == 1 or self.row(r - 1) >= c)):
             raise ValueError(f"{node} is not an addable node of {self}")
-        parts = self.parts
-        return Partition._trusted(parts[: r - 1] + (self.row(r) + 1,) + parts[r:])
+        return Partition._trusted(self[: r - 1] + (c,) + self[r:])
+
+
+def _check_partition(lam: object) -> None:
+    """The type check of every public function that takes a partition."""
+    if not isinstance(lam, Partition):
+        raise MalformedPartition(
+            f"expected a Partition, got {type(lam).__name__} {lam!r}; build one with Partition(...)"
+        )
 
 
 EMPTY = Partition()
@@ -182,10 +162,11 @@ def format_partition(lam: Partition, exponents: bool = False) -> str:
     Plain comma form by default ("8,2"); exponent form on request
     ("4^3,1^2", multiplicity-1 parts stay plain). Empty renders as "[]".
     """
+    _check_partition(lam)
     if not lam:
         return "[]"
     if not exponents:
-        return ",".join(str(x) for x in lam.parts)
+        return ",".join(map(str, lam))
     out = []
     for part, mult in exponent_form(lam):
         out.append(f"{part}^{mult}" if mult > 1 else str(part))
@@ -194,8 +175,9 @@ def format_partition(lam: Partition, exponents: bool = False) -> str:
 
 def exponent_form(lam: Partition) -> tuple[tuple[int, int], ...]:
     """Multiplicity encoding ((a_1, b_1), ..., (a_h, b_h)), a_1 > a_2 > ... ."""
+    _check_partition(lam)
     runs: list[tuple[int, int]] = []
-    for x in lam.parts:
+    for x in lam:
         if runs and runs[-1][0] == x:
             runs[-1] = (x, runs[-1][1] + 1)
         else:
@@ -205,17 +187,17 @@ def exponent_form(lam: Partition) -> tuple[tuple[int, int], ...]:
 
 def is_p_regular(lam: Partition, p: int) -> bool:
     """True when no part repeats p or more times."""
+    _check_partition(lam)
     validate_prime(p)
-    return _regular(lam.parts, p)
+    return _regular(lam, p)
 
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
+    _check_partition(lam)
     if not lam:
         return EMPTY
-    return Partition(
-        sum(1 for x in lam.parts if x >= c) for c in range(1, lam.parts[0] + 1)
-    )
+    return Partition(sum(1 for x in lam if x >= c) for c in range(1, lam[0] + 1))
 
 
 def residue(node: Node, p: int) -> int:
@@ -311,11 +293,12 @@ def _descending_lex(n: int, q: int) -> Iterator[tuple[int, ...]]:
 
 def specht_dimension(lam: Partition) -> int:
     """Number of standard Young tableaux of this shape (hook length formula)."""
+    _check_partition(lam)
     if not lam:
         raise EmptyPartition("specht_dimension needs a nonempty partition")
-    conj = conjugate(lam).parts
+    conj = conjugate(lam)
     prod = 1
-    for r, length in enumerate(lam.parts, start=1):
+    for r, length in enumerate(lam, start=1):
         for c in range(1, length + 1):
             prod *= (length - c) + (conj[c - 1] - r) + 1
     num = factorial(lam.size)

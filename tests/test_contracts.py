@@ -2,7 +2,9 @@
 
 Each row calls one public function with one bad input (or a combination of
 two, which pins the order in which the checks run) and names the exact error
-class and message it raises, or None when the input is accepted. The rows
+class and message it raises, or None when the input is accepted. Every
+function that takes a partition accepts only a Partition: a plain tuple is
+rejected first, before any other argument is checked. The rows
 describe the package's behaviour at the API boundary only, so they must hold
 unchanged whatever the internal code does after validation.
 """
@@ -13,6 +15,7 @@ import modpart
 from modpart import EMPTY, Partition
 from modpart.errors import (
     EmptyPartition,
+    MalformedPartition,
     NotPRegular,
     OddPrimeRequired,
     ReconstructionFailure,
@@ -41,6 +44,10 @@ def _residue(i, p):
     return (ValueError, f"residue must satisfy 0 <= i < p, got i={i}, p={p}")
 
 
+def _not_partition(parts):
+    return (MalformedPartition, f"expected a Partition, got tuple {parts!r}; build one with Partition(...)")
+
+
 # entry: (arguments before p, outcomes for (SING, 3), (EMPTY, 5), (SING, 9),
 # (EMPTY, 9)); the operators take a residue before p.
 LAM_P = {
@@ -63,9 +70,27 @@ LAM_P = {
     "make_label": ((), (MULL_SING, NO_LABEL, P9, NO_LABEL)),
 }
 
+# entry: arguments after the partition. A plain tuple is not a Partition,
+# whether its parts would pass Partition's checks or not.
+TAKES_PARTITION = {
+    **{name: (*extra, 5) for name, (extra, _) in LAM_P.items()},
+    "attach_p_rim": (2, 2, 5),
+    "addable_nodes": (),
+    "removable_nodes": (),
+    "nu_of": (),
+    "conjugate": (),
+    "specht_dimension": (),
+    "exponent_form": (),
+    "format_partition": (),
+}
+
 
 def _rows():
     cases = [(SING, 3, "singular"), (EMPTY, 5, "empty"), (SING, 9, "singular,p=9"), (EMPTY, 9, "empty,p=9")]
+    for name, rest in TAKES_PARTITION.items():
+        for parts in ((3, 1), (1, 3)):
+            yield name, f"tuple{parts}", (parts, *rest), _not_partition(parts)
+    yield "classify_nodes", "tuple,p=9", ((3, 1), 9), _not_partition((3, 1))
     for name, (extra, outcomes) in LAM_P.items():
         for p, msg in BAD_P:
             yield name, f"p={p!r}", (LAM, *extra, p), (OddPrimeRequired, msg)

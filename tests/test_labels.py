@@ -1,17 +1,24 @@
 """Labels for the index-two subgroup's irreducibles and the tensor classifier."""
 
+from itertools import islice
+
 import pytest
 
 from modpart import (
     EMPTY,
+    AnIrreducible,
     ClassificationOutcome,
     LabelKind,
     Partition,
     ReasonCode,
     Verdict,
+    canonical_label,
     classify_tensor,
+    enumerate_partitions,
     is_dimension_one,
+    is_mullineux_fixed,
     make_label,
+    mullineux_image,
     nu_of,
     parse_partition,
 )
@@ -84,6 +91,28 @@ class TestDimensionOne:
         assert not is_dimension_one(_lab("6,3,1,1", sign="+"))
         assert not is_dimension_one(_lab("10,1"))
         assert not is_dimension_one(_lab("3,1"))
+
+    def test_one_row_label_past_the_recursion_depth(self):
+        # Built directly, since make_label would itself compute M((2000)): the
+        # test must not follow a Mullineux chain of 2000 levels.
+        assert is_dimension_one(AnIrreducible(LabelKind.NONSPLIT, Partition((2000,)), None, 2000, 5))
+        assert not is_dimension_one(
+            AnIrreducible(LabelKind.NONSPLIT, Partition((1999, 1)), None, 2000, 5)
+        )
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_agrees_with_the_canonical_label_of_one_row(self, p):
+        # The former definition compared a nonsplit label with
+        # canonical_label((n)). Every nonsplit label of n <= 20, and for
+        # n <= 30 the labels of M((n)) and of the ten lex-largest p-regular
+        # partitions of n.
+        for n in range(1, 31):
+            old = canonical_label(Partition((n,)), p)
+            lams = list(islice(enumerate_partitions(n, p, regular_only=True), None if n <= 20 else 10))
+            for lam in lams + [mullineux_image(Partition((n,)), p)]:
+                if not is_mullineux_fixed(lam, p):
+                    label = make_label(lam, p)
+                    assert is_dimension_one(label) == (label.partition == old), (n, p, lam)
 
 
 class TestNuOf:

@@ -141,6 +141,34 @@ class TestPartitionType:
         lam = Partition((2, 1))
         with pytest.raises(AttributeError):
             lam.parts = (3,)
+        with pytest.raises(AttributeError):
+            lam.extra = 1
+
+    def test_is_the_tuple_of_its_parts(self):
+        lam = Partition((3, 1, 1))
+        assert isinstance(lam, tuple)
+        assert lam == (3, 1, 1) and (3, 1, 1) == lam
+        assert hash(lam) == hash((3, 1, 1))
+        assert {(3, 1, 1): "x"}[lam] == "x"
+        assert lam.parts == lam and lam.parts is lam
+        assert Partition._trusted(lam) is lam
+        assert type(Partition._trusted((2, 1))) is Partition
+
+    def test_adds_only_what_a_tuple_lacks(self):
+        # Counting validated constructions wraps Partition.__init__, so it
+        # stays in the class dict; the tuple protocol is the tuple's own.
+        assert "__init__" in Partition.__dict__
+        inherited = {"__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__",
+                     "__len__", "__iter__", "__getitem__", "__bool__", "__setattr__"}
+        assert not inherited & set(Partition.__dict__)
+        assert Partition.__slots__ == ()
+
+    def test_generator_argument_is_validated(self):
+        assert Partition(x for x in (4, 2, 2)) == Partition((4, 2, 2))
+        with pytest.raises(NotWeaklyDecreasing, match=r"got \(1, 2\)"):
+            Partition(x for x in (1, 2))
+        with pytest.raises(NonPositivePart):
+            Partition(x for x in (2, 0))
 
     def test_ordering_is_lex(self):
         assert Partition((3, 1)) > Partition((2, 2))

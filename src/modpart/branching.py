@@ -60,7 +60,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import EmptyPartition, NotPRegular
-from .partitions import Node, Partition, _check_partition, _regular, validate_prime
+from .partitions import Node, Partition, _check_int, _check_partition, _regular, validate_prime
 
 
 class Orientation(Enum):
@@ -147,9 +147,16 @@ def _by_residue(nodes: tuple[Node, ...], p: int) -> tuple[tuple[Node, ...], ...]
     return tuple(map(tuple, out))
 
 
-# Bounded so a ceiling sweep cannot fill memory; large enough for the default
-# report's whole working set (12,618 classifications), which 4,096 entries
-# evicted between L52 and L18.
+# Bounded so a ceiling sweep cannot fill memory; large enough for the working
+# set of a whole `modpart report` (8,400 classifications, 30,985 hits) and of a
+# fresh process that runs L52, JSEQ and L23 at n = 40 and MULLX at n = 30, all
+# at p = 5 (14,954). Both are _classify.cache_info() after the run, from src/:
+#   python -c "from modpart.cli import main; from modpart.branching import
+#   _classify; main(['report']); print(_classify.cache_info())"
+#   python -c "from modpart import run_check; from modpart.branching import
+#   _classify; [run_check(c, n_min=n, n_max=n, primes=(5,)) for c, n in
+#   (('L52', 40), ('JSEQ', 40), ('L23', 40), ('MULLX', 30))];
+#   print(_classify.cache_info())"
 @lru_cache(maxsize=16384)
 def _classify(lam: Partition, p: int, orientation: Orientation):
     # The single pass of the module docstring, over rows 1..h+1. It meets
@@ -240,6 +247,7 @@ def _check_regular(lam: Partition, p: int, what: str) -> None:
 
 
 def _check_residue(i: int, p: int) -> None:
+    _check_int(i, "residue i")
     if not (0 <= i < p):
         raise ValueError(f"residue must satisfy 0 <= i < p, got i={i}, p={p}")
 

@@ -51,6 +51,7 @@ from .mullineux import (
 )
 from .partitions import (
     Partition,
+    _check_int,
     conjugate,
     enumerate_partitions,
     is_p_regular,
@@ -217,27 +218,26 @@ def _check_l29(n: int, p: int):
         if tuple(eps_mu) != (0, 1, 0, 0, 1):
             cxs.append(_cx(5, n, lam, f"eps(e_0 lam)={eps_mu}", "support {1,4}, both 1"))
             continue
+        xi = {i: tilde_e(mu, i, 5) for i in (1, 4)}
+        eps_xi = {i: classify_nodes(xi[i], 5).epsilon for i in (1, 4)}
         good = []
         for i in (1, 4):
-            xi = tilde_e(mu, i, 5)
-            eps_xi = classify_nodes(xi, 5).epsilon
             want = {(5 - i) % 5, (2 * i) % 5}
-            if all(eps_xi[j] == (1 if j in want else 0) for j in range(5)):
+            if all(eps_xi[i][j] == (1 if j in want else 0) for j in range(5)):
                 good.append(i)
         if not good:
             cxs.append(
                 _cx(
                     5, n, lam,
-                    f"eps(e_1 e_0 lam)={classify_nodes(tilde_e(mu, 1, 5), 5).epsilon}, "
-                    f"eps(e_4 e_0 lam)={classify_nodes(tilde_e(mu, 4, 5), 5).epsilon}",
+                    f"eps(e_1 e_0 lam)={eps_xi[1]}, eps(e_4 e_0 lam)={eps_xi[4]}",
                     "for some i in {1,4}: support {-i, 2i}, both 1",
                 )
             )
             continue
         for i in good:
             dist[str(i)] += 1
-        a = tilde_e(tilde_e(mu, 1, 5), 4, 5)
-        b = tilde_e(tilde_e(mu, 4, 5), 1, 5)
+        a = tilde_e(xi[1], 4, 5)
+        b = tilde_e(xi[4], 1, 5)
         if a is None or b is None or a != b:
             cxs.append(_cx(5, n, lam, f"e_4 e_1(mu)={a}, e_1 e_4(mu)={b}", "equal and defined"))
     return inst, cxs, {"i_distribution": dist}
@@ -335,28 +335,18 @@ def _two_row_closed(n: int, i: int) -> Partition:
 
 def _check_closed(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATION):
     """Mullineux images of (n) and, at p=5 for n>=12, of (n-i,i) match closed forms."""
-    inst, cxs = 0, []
-    if n >= 1:
-        inst += 1
-        try:
-            img = mullineux_image(Partition((n,)), p, orientation=orientation)
-            want = _one_row_closed(n, p)
-            if img != want:
-                cxs.append(_cx(p, n, Partition((n,)), str(img), str(want)))
-        except ModpartError as e:
-            cxs.append(_cx(p, n, Partition((n,)), f"{type(e).__name__}: {e}", str(_one_row_closed(n, p))))
+    cases = [(Partition((n,)), _one_row_closed(n, p))] if n >= 1 else []
     if p == 5 and n >= 12:
-        for i in range(1, 5):
-            inst += 1
-            lam = Partition((n - i, i))
-            want = _two_row_closed(n, i)
-            try:
-                img = mullineux_image(lam, 5, orientation=orientation)
-                if img != want:
-                    cxs.append(_cx(5, n, lam, str(img), str(want)))
-            except ModpartError as e:
-                cxs.append(_cx(5, n, lam, f"{type(e).__name__}: {e}", str(want)))
-    return inst, cxs, None
+        cases += [(Partition((n - i, i)), _two_row_closed(n, i)) for i in range(1, 5)]
+    cxs = []
+    for lam, want in cases:
+        try:
+            img = mullineux_image(lam, p, orientation=orientation)
+            if img != want:
+                cxs.append(_cx(p, n, lam, str(img), str(want)))
+        except ModpartError as e:
+            cxs.append(_cx(p, n, lam, f"{type(e).__name__}: {e}", str(want)))
+    return len(cases), cxs, None
 
 
 def _check_nuwf(n: int, p: int):
@@ -507,12 +497,15 @@ def run_check(
     lo = check.n_min if n_min is None else n_min
     hi = check.n_max if n_max is None else n_max
     ps = check.primes if primes is None else tuple(sorted({validate_prime(p) for p in primes}))
+    _check_int(lo, "n_min")
     if lo < 0:
         raise ValueError(f"n_min must be >= 0, got {lo}")
+    _check_int(hi, "n_max")
     if hi < 0:
         raise ValueError(f"n_max must be >= 0, got {hi}")
     if hi > DEFAULT_CEILING:
         raise SweepTooLarge(f"n_max={hi} exceeds the sweep ceiling {DEFAULT_CEILING}")
+    _check_int(cap, "counterexample cap")
     if cap < 0:
         raise ValueError(f"counterexample cap must be >= 0, got {cap}")
     return _sweep(check_id, check.fn, lo, hi, ps, cap)
@@ -531,8 +524,10 @@ def run_all(
     reports so far are returned. A negative max_n or an empty checks
     selection would run nothing and is rejected.
     """
-    if max_n is not None and max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    if max_n is not None:
+        _check_int(max_n, "max_n")
+        if max_n < 0:
+            raise ValueError(f"max_n must be >= 0, got {max_n}")
     if checks is not None and not checks:
         raise ValueError("empty check selection; omit checks to run them all")
     wanted = set(CHECK_ORDER if checks is None else checks)
@@ -592,6 +587,7 @@ def calibration_report(n_max: int = 12) -> dict:
     Below n = 3 both scans pass, so the experiment cannot decide; an n_max
     below 3 is rejected.
     """
+    _check_int(n_max, "n_max")
     if n_max < 3:
         raise ValueError(f"calibration needs n_max >= 3 (both scans pass below n = 3), got {n_max}")
     per_orientation: dict[str, dict] = {}

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .errors import EmptyPartition, NotPRegular
 from .mullineux import is_mullineux_fixed
-from .partitions import Partition, _check_partition, _regular, validate_prime
+from .partitions import Partition, _check_int, _check_partition, _regular, validate_prime
 
 
 def is_js_arith(lam: Partition, p: int) -> bool:
@@ -62,23 +62,23 @@ def enumerate_js(n: int, p: int, fixed_only: bool = False) -> Iterator[Partition
     nothing.
     """
     validate_prime(p)
+    _check_int(n, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     for a in range(n, 0, -1):
         if (p - 1) * a * (a + 1) // 2 < n:
             break
         for b in range(min(p - 1, n // a), 0, -1):
-            for parts in _later_runs([a] * b, n - a * b, a, b, p):
-                lam = Partition._trusted(parts)
+            for lam in _later_runs([a] * b, n - a * b, a, b, p):
                 if not fixed_only or is_mullineux_fixed(lam, p):
                     yield lam
 
 
-def _later_runs(parts: list[int], rest: int, a: int, b: int, p: int) -> Iterator[tuple[int, ...]]:
+def _later_runs(parts: list[int], rest: int, a: int, b: int, p: int) -> Iterator[Partition]:
     """Complete parts, whose last run is a^b, to every JS partition of size
     sum(parts) + rest, in descending lex order."""
     if rest == 0:
-        yield tuple(parts)
+        yield Partition._trusted(parts)
         return
     for c in range(min(a - 1, rest), 0, -1):
         if (p - 1) * c * (c + 1) // 2 < rest:

@@ -124,7 +124,7 @@ def nu_of(lam: Partition) -> Partition:
         raise InternalInconsistency(
             f"moving the top removable node of {lam} to the bottom does not yield a partition"
         )
-    return Partition(parts)
+    return Partition._trusted(parts)
 
 
 @dataclass(frozen=True)

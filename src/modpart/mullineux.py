@@ -29,7 +29,7 @@ from .branching import (
     classify_nodes,
 )
 from .errors import InternalInconsistency, NotPRegular, ReconstructionFailure
-from .partitions import EMPTY, Partition, _check_partition, _regular, validate_prime
+from .partitions import EMPTY, Partition, _check_int, _check_partition, _regular, validate_prime
 
 ResidueChoice = str  # "smallest" | "largest"
 
@@ -49,12 +49,12 @@ def _check_input(lam: Partition, p: int) -> None:
         raise NotPRegular(f"the Mullineux map is defined on p-regular partitions, got {lam} at p={p}")
 
 
-# (p, residue choice, orientation) -> {partition: image}. One link per
-# partition keeps a chain of n steps at O(n) memory. Links hold images only:
-# mullineux() rebuilds the residue trace on demand by one descent. The memo is
-# read inline, never through a cache wrapper, so each level of the recursion
-# costs one recursion-limit frame (a C cache wrapper costs two). Failures are
-# not stored.
+# (p, residue choice, orientation) -> {partition: image}, seeded with
+# M(empty) = empty. One link per partition keeps a chain of n steps at O(n)
+# memory. Links hold images only: mullineux() rebuilds the residue trace on
+# demand by one descent. The memo is read inline, never through a cache
+# wrapper, so each level of the recursion costs one recursion-limit frame (a C
+# cache wrapper costs two). Failures are not stored.
 _MULL_LINKS: dict[tuple, dict[Partition, Partition]] = {}
 
 
@@ -82,7 +82,7 @@ def _mull(nc: NodeClassification, choice: ResidueChoice, links: dict) -> Partiti
     i = _good_residue(nc, choice)
     child = _tilde_e(lam, i, p, orientation)
     assert child is not None
-    child_image = links.get(child) if child else EMPTY
+    child_image = links.get(child)
     if child_image is None:
         child_image = _mull(classify_nodes(child, p, orientation), choice, links)
     image = _tilde_f(child_image, (p - i) % p, p, orientation)
@@ -134,8 +134,8 @@ def mullineux_image(
     _check_input(lam, p)
     if residue_choice not in ("smallest", "largest"):
         raise ValueError(f"residue_choice must be 'smallest' or 'largest', got {residue_choice!r}")
-    links = _MULL_LINKS.setdefault((p, residue_choice, orientation), {})
-    image = links.get(lam) if lam else EMPTY
+    links = _MULL_LINKS.setdefault((p, residue_choice, orientation), {EMPTY: EMPTY})
+    image = links.get(lam)
     if image is None:
         image = _mull(classify_nodes(lam, p, orientation), residue_choice, links)
     return image
@@ -212,6 +212,8 @@ def attach_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
     """
     _check_partition(mu)
     validate_prime(p)
+    _check_int(a, "a", ReconstructionFailure)
+    _check_int(r, "r", ReconstructionFailure)
     if a < r or r < len(mu) or r < 1:
         raise ReconstructionFailure(f"no partition adds a {p}-rim of {a} nodes over {r} rows onto {mu}")
     m = -(-a // p)  # ceil

@@ -50,6 +50,17 @@ def validate_prime(p: int) -> int:
     return p
 
 
+def _check_int(value: object, name: str, error: type[Exception] = ValueError) -> None:
+    """The type check of an integer argument other than p: an int, not a bool.
+
+    Runs just before the argument's range check and raises that check's
+    error class, so a float or a bool gets a named error, never a TypeError
+    from the arithmetic or a silent answer.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 class Partition(tuple):
     """A tuple of weakly decreasing positive parts, validated on construction.
 
@@ -197,7 +208,7 @@ def conjugate(lam: Partition) -> Partition:
     _check_partition(lam)
     if not lam:
         return EMPTY
-    return Partition(sum(1 for x in lam if x >= c) for c in range(1, lam[0] + 1))
+    return Partition._trusted(tuple(sum(1 for x in lam if x >= c) for c in range(1, lam[0] + 1)))
 
 
 def residue(node: Node, p: int) -> int:
@@ -216,16 +227,13 @@ def enumerate_partitions(
     generated directly, with every multiplicity capped at p - 1, not filtered
     from all partitions of n. Streaming generator whose work per item is
     constant on average, so it follows the number of partitions yielded;
-    n = 0 yields exactly the empty partition.
+    n = 0 yields exactly the empty partition. n must be an int >= 0.
     """
     validate_prime(p)
+    _check_int(n, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        yield EMPTY
-        return
-    for parts in _descending_lex(n, p - 1 if regular_only else n):
-        yield Partition._trusted(parts)
+    yield from _descending_lex(n, p - 1 if regular_only else n)
 
 
 def _regular(parts: tuple[int, ...], p: int) -> bool:
@@ -238,9 +246,10 @@ def _regular(parts: tuple[int, ...], p: int) -> bool:
     return True
 
 
-def _descending_lex(n: int, q: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n >= 1 with no part repeated more than q >= 2 times, in
-    descending lex order; q >= n caps nothing.
+def _descending_lex(n: int, q: int) -> Iterator[Partition]:
+    """Partitions of n >= 0 with no part repeated more than q times, in
+    descending lex order; q >= 2 for n >= 2, and q >= n caps nothing. n = 0
+    yields exactly the empty partition.
 
     Each step goes straight to the successor. The rightmost part a > 1 that
     can shrink is the one whose suffix sum rest (a included) still fits into
@@ -252,10 +261,10 @@ def _descending_lex(n: int, q: int) -> Iterator[tuple[int, ...]]:
     so in one step. On average a step reads fewer than two parts (counted for
     n <= 90 and 2 <= q <= 12), so the work follows the output.
     """
-    parts = [n]
+    parts = [n] if n else []
     h = 0 if n > 1 else -1  # index of the last part > 1; parts[h + 1:] are 1s
     while True:
-        yield tuple(parts)
+        yield tuple.__new__(Partition, parts)
         if h < 0:
             return
         ones = len(parts) - h - 1

@@ -97,6 +97,10 @@ def _rows():
         for (lam, p, label), want in zip(cases, outcomes):
             yield name, label, (lam, *extra, p), want
     for name in ("tilde_e", "tilde_f"):
+        for i in (True, 1.5):
+            yield name, f"i={i!r}", (LAM, i, 5), (ValueError, f"residue i must be an integer, got {i!r}")
+        yield name, "i=1.5,p=9", (LAM, 1.5, 9), P9
+        yield name, "singular,i=1.5", (SING, 1.5, 3), (ValueError, "residue i must be an integer, got 1.5")
         yield name, "i=-1", (LAM, -1, 3), _residue(-1, 3)
         yield name, "i=p", (LAM, 3, 3), _residue(3, 3)
         yield name, "i=-1,p=9", (LAM, -1, 9), P9
@@ -115,6 +119,9 @@ def _rows():
             yield name, f"p={p!r}", (4, p), (OddPrimeRequired, msg)
         yield name, "n=-1", (-1, 5), (ValueError, "n must be >= 0, got -1")
         yield name, "n=-1,p=9", (-1, 9), P9
+        for n in (True, 4.0, -1.0):
+            yield name, f"n={n!r}", (n, 5), (ValueError, f"n must be an integer, got {n!r}")
+        yield name, "n=4.0,p=9", (4.0, 9), P9
     for p, msg in BAD_P:
         yield "residue", f"p={p!r}", ((1, 2), p), (OddPrimeRequired, msg)
         yield "attach_p_rim", f"p={p!r}", (EMPTY, 2, 2, p), (OddPrimeRequired, msg)
@@ -122,6 +129,28 @@ def _rows():
     yield "attach_p_rim", "a<r", (EMPTY, 1, 2, 3), (
         ReconstructionFailure, "no partition adds a 3-rim of 1 nodes over 2 rows onto []")
     yield "attach_p_rim", "a<r,p=9", (EMPTY, 1, 2, 9), P9
+    for key, value in (("a", True), ("a", 2.0), ("r", True), ("r", 1.0)):
+        args = (EMPTY, value, 1, 5) if key == "a" else (EMPTY, 2, value, 5)
+        yield "attach_p_rim", f"{key}={value!r}", args, (
+            ReconstructionFailure, f"{key} must be an integer, got {value!r}")
+    yield "attach_p_rim", "a=2.0,p=9", (EMPTY, 2.0, 2, 9), P9
+    yield "attach_p_rim", "a=2.0,r=1.0", (EMPTY, 2.0, 1.0, 5), (ReconstructionFailure, "a must be an integer, got 2.0")
+    # keyword arguments of the sweep runners; a dict row is passed as keywords
+    for key, value in (("n_min", True), ("n_min", 1.5), ("n_max", 2.5), ("n_max", 40.5), ("cap", True), ("cap", 1.5)):
+        name = "counterexample cap" if key == "cap" else key
+        yield "run_check", f"{key}={value!r}", {"check_id": "L52", "n_max": 3, key: value}, (
+            ValueError, f"{name} must be an integer, got {value!r}")
+    yield "run_check", "n_min=1.5,p=9", {"check_id": "L52", "n_min": 1.5, "primes": (9,)}, P9
+    yield "run_check", "n_min=1.5,n_max=-1", {"check_id": "L52", "n_min": 1.5, "n_max": -1}, (
+        ValueError, "n_min must be an integer, got 1.5")
+    for value in (True, 1.5, -1.5):
+        yield "run_all", f"max_n={value!r}", {"max_n": value}, (ValueError, f"max_n must be an integer, got {value!r}")
+    yield "run_all", "max_n=1.5,checks=()", {"max_n": 1.5, "checks": ()}, (
+        ValueError, "max_n must be an integer, got 1.5")
+    yield "run_all", "cap=1.5", {"max_n": 2, "cap": 1.5}, (ValueError, "counterexample cap must be an integer, got 1.5")
+    for value in (True, 3.5):
+        yield "calibration_report", f"n_max={value!r}", {"n_max": value}, (
+            ValueError, f"n_max must be an integer, got {value!r}")
 
 
 ROWS = list(_rows())
@@ -131,7 +160,7 @@ ROWS = list(_rows())
 def test_contract(name, label, args, want):
     fn = getattr(modpart, name)
     try:
-        out = fn(*args)
+        out = fn(**args) if isinstance(args, dict) else fn(*args)
         if name.startswith("enumerate"):
             list(out)
     except Exception as e:  # the class and message are the assertion

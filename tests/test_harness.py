@@ -1,5 +1,6 @@
 """Verification harness: registry, sweeps, reports, sharding, calibration."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ import modpart.harness as harness
 from modpart import (
     CHECK_ORDER,
     CHECKS,
+    Orientation,
     Partition,
     calibration_report,
     merge_reports,
@@ -239,6 +241,22 @@ class TestRunAll:
     def test_zero_max_n_still_runs(self):
         reports = run_all(max_n=0, checks=("L52",))
         assert [r.id for r in reports] == ["L52"] and reports[0].passed
+
+
+class TestClosedCells:
+    def test_flipped_scan_cells_digest_pinned(self):
+        # the reference report keeps only the first counterexample of the
+        # flipped scan; this pins the order and the text of every one, at the
+        # cells where the two-row cases join the one-row case
+        cells = [
+            harness.CHECKS["CLOSED"].fn(n, 5, orientation=Orientation.TOP_DOWN)
+            for n in (12, 13, 14)
+        ]
+        for n, (inst, cxs, details) in zip((12, 13, 14), cells):
+            assert (inst, len(cxs), details) == (5, 5, None)
+            assert cxs[0]["partition"] == str(n)
+        text = json.dumps(cells, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == "c2b5e204fbb3528d1a1c021c7a8b1f5154b8a0fbcae43631ca79965f69a73cf8"
 
 
 class TestCalibration:

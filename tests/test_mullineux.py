@@ -339,6 +339,15 @@ class TestMemo:
                     cur = tilde_e(cur, i, 5)
                 assert cur == EMPTY
 
+    @pytest.mark.parametrize("choice", ["smallest", "largest"])
+    def test_empty_partition_on_a_fresh_memo(self, monkeypatch, choice):
+        # the memo's seed link M(empty) = empty is the only base case
+        monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+        assert mullineux_image(EMPTY, 5, residue_choice=choice) == EMPTY
+        monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+        assert mullineux(EMPTY, 5, residue_choice=choice) == MullineuxResult(image=EMPTY, trace=())
+        assert mullineux_image(Partition((1,)), 5, residue_choice=choice) == Partition((1,))
+
 
 def _one_row_closed(n, p):
     a, b = divmod(n, p - 1)

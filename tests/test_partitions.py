@@ -36,6 +36,7 @@ from modpart.errors import (
     NotWeaklyDecreasing,
     OddPrimeRequired,
 )
+from modpart.partitions import _descending_lex
 
 
 @lru_cache(maxsize=None)
@@ -297,6 +298,14 @@ class TestEnumeration:
     def test_n_zero(self):
         assert list(enumerate_partitions(0, 5)) == [EMPTY]
         assert list(enumerate_partitions(0, 5, regular_only=True)) == [EMPTY]
+
+    @pytest.mark.parametrize("q", [0, 2, 4])
+    def test_generator_yields_one_empty_partition_at_n_zero(self, q):
+        # enumerate_partitions has no n = 0 branch of its own: the generator's
+        # empty working list is the one partition of 0
+        got = list(_descending_lex(0, q))
+        assert got == [()]
+        assert type(got[0]) is Partition
 
     def test_negative_n(self):
         with pytest.raises(ValueError):

@@ -48,7 +48,8 @@ addable node, from the last run up. At the sweep ceiling every partition is
 counted once, so a cached classification would only be built, evicted and
 never read again.
 
-Public functions validate their inputs once: the partition's type, p and i.
+Public functions validate their inputs once: the partition's type, p, i and
+the scan orientation.
 The Mullineux recursion calls the private cores _tilde_e/_tilde_f, which take
 the scan and skip the checks that its entry point has already made.
 """
@@ -200,6 +201,9 @@ def classify_nodes(
     """
     _check_partition(lam)
     validate_prime(p)
+    # Inline, not a helper: the Mullineux recursion calls this once per level.
+    if not isinstance(orientation, Orientation):
+        raise ValueError(f"orientation must be an Orientation, got {orientation!r}")
     return _classify(lam, p, orientation)
 
 

@@ -52,6 +52,7 @@ from .mullineux import (
 from .partitions import (
     Partition,
     _check_int,
+    _check_non_negative,
     conjugate,
     enumerate_partitions,
     is_p_regular,
@@ -491,23 +492,19 @@ def run_check(
     """
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; known ids: {', '.join(CHECK_ORDER)}")
+    if primes is not None and not isinstance(primes, (tuple, list)):
+        raise ValueError(f"primes must be a tuple of odd primes, got {primes!r}")
     if primes is not None and not primes:
         raise ValueError("empty primes; omit primes to sweep the check's default primes")
     check = CHECKS[check_id]
     lo = check.n_min if n_min is None else n_min
     hi = check.n_max if n_max is None else n_max
     ps = check.primes if primes is None else tuple(sorted({validate_prime(p) for p in primes}))
-    _check_int(lo, "n_min")
-    if lo < 0:
-        raise ValueError(f"n_min must be >= 0, got {lo}")
-    _check_int(hi, "n_max")
-    if hi < 0:
-        raise ValueError(f"n_max must be >= 0, got {hi}")
+    _check_non_negative(lo, "n_min")
+    _check_non_negative(hi, "n_max")
     if hi > DEFAULT_CEILING:
         raise SweepTooLarge(f"n_max={hi} exceeds the sweep ceiling {DEFAULT_CEILING}")
-    _check_int(cap, "counterexample cap")
-    if cap < 0:
-        raise ValueError(f"counterexample cap must be >= 0, got {cap}")
+    _check_non_negative(cap, "counterexample cap")
     return _sweep(check_id, check.fn, lo, hi, ps, cap)
 
 
@@ -525,9 +522,7 @@ def run_all(
     selection would run nothing and is rejected.
     """
     if max_n is not None:
-        _check_int(max_n, "max_n")
-        if max_n < 0:
-            raise ValueError(f"max_n must be >= 0, got {max_n}")
+        _check_non_negative(max_n, "max_n")
     if checks is not None and not checks:
         raise ValueError("empty check selection; omit checks to run them all")
     wanted = set(CHECK_ORDER if checks is None else checks)
@@ -554,6 +549,7 @@ def merge_reports(reports: list[LemmaReport], cap: int = DEFAULT_CAP) -> LemmaRe
     unsharded report. Details are counters (name -> key -> count), summed
     key by key in first-seen order.
     """
+    _check_non_negative(cap, "counterexample cap")
     if not reports:
         raise ValueError("nothing to merge")
     ids = {r.id for r in reports}

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .errors import EmptyPartition, NotPRegular
 from .mullineux import is_mullineux_fixed
-from .partitions import Partition, _check_int, _check_partition, _regular, validate_prime
+from .partitions import Partition, _check_non_negative, _check_partition, _regular, validate_prime
 
 
 def is_js_arith(lam: Partition, p: int) -> bool:
@@ -62,9 +62,7 @@ def enumerate_js(n: int, p: int, fixed_only: bool = False) -> Iterator[Partition
     nothing.
     """
     validate_prime(p)
-    _check_int(n, "n")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_non_negative(n, "n")
     for a in range(n, 0, -1):
         if (p - 1) * a * (a + 1) // 2 < n:
             break

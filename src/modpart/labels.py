@@ -82,7 +82,7 @@ def make_label(lam: Partition, p: int, sign: int | str | None = None) -> AnIrred
         if sign not in ("+", "-"):
             raise ValueError(f"sign must be '+' or '-', got {sign!r}")
         sign = 1 if sign == "+" else -1
-    if sign not in (None, 1, -1):
+    if sign is not None and (type(sign) is not int or abs(sign) != 1):
         raise ValueError(f"sign must be +1, -1 or None, got {sign!r}")
     if is_mullineux_fixed(lam, p):
         if sign is None:

@@ -28,7 +28,7 @@ from .branching import (
     _tilde_f,
     classify_nodes,
 )
-from .errors import InternalInconsistency, NotPRegular, ReconstructionFailure
+from .errors import EmptyPartition, InternalInconsistency, NotPRegular, ReconstructionFailure
 from .partitions import EMPTY, Partition, _check_int, _check_partition, _regular, validate_prime
 
 ResidueChoice = str  # "smallest" | "largest"
@@ -134,6 +134,8 @@ def mullineux_image(
     _check_input(lam, p)
     if residue_choice not in ("smallest", "largest"):
         raise ValueError(f"residue_choice must be 'smallest' or 'largest', got {residue_choice!r}")
+    if not isinstance(orientation, Orientation):
+        raise ValueError(f"orientation must be an Orientation, got {orientation!r}")
     links = _MULL_LINKS.setdefault((p, residue_choice, orientation), {EMPTY: EMPTY})
     image = links.get(lam)
     if image is None:
@@ -172,7 +174,7 @@ def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int, int]:
     """
     _check_partition(lam)
     if not lam:
-        raise ValueError("cannot remove a p-rim from the empty partition")
+        raise EmptyPartition("cannot remove a p-rim from the empty partition")
     validate_prime(p)
     rest, a, r = _remove_p_rim(lam, p)
     return Partition._trusted(rest), a, r

@@ -61,6 +61,13 @@ def _check_int(value: object, name: str, error: type[Exception] = ValueError) ->
         raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _check_non_negative(value: object, name: str) -> None:
+    """The check of a count argument: an int >= 0, else a ValueError."""
+    _check_int(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 class Partition(tuple):
     """A tuple of weakly decreasing positive parts, validated on construction.
 
@@ -230,9 +237,7 @@ def enumerate_partitions(
     n = 0 yields exactly the empty partition. n must be an int >= 0.
     """
     validate_prime(p)
-    _check_int(n, "n")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_non_negative(n, "n")
     yield from _descending_lex(n, p - 1 if regular_only else n)
 
 

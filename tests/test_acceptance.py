@@ -208,8 +208,8 @@ def _valid_labels(n: int) -> list:
             labels.append(make_label(lam, 5, "-"))
         else:
             can = canonical_label(lam, 5)
-            if can.parts not in seen:
-                seen.add(can.parts)
+            if can not in seen:
+                seen.add(can)
                 labels.append(make_label(lam, 5))
     return [lab for lab in labels if not is_dimension_one(lab)]
 

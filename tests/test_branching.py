@@ -284,7 +284,7 @@ class TestLiftingScan:
                     conormal = classify_nodes(lam, p, orientation).conormal
                     for i in range(p):
                         want = conormal[i][0] if conormal[i] else None
-                        assert _top_conormal(lam.parts, i, p, orientation) == want, (lam, i, orientation)
+                        assert _top_conormal(lam, i, p, orientation) == want, (lam, i, orientation)
                         if regular:
                             lifted = _tilde_f(lam, i, p, orientation)
                             assert lifted == (lam.add(want) if want else None), (lam, i, orientation)

@@ -12,7 +12,7 @@ unchanged whatever the internal code does after validation.
 import pytest
 
 import modpart
-from modpart import EMPTY, Partition
+from modpart import EMPTY, LemmaReport, Partition
 from modpart.errors import (
     EmptyPartition,
     MalformedPartition,
@@ -32,7 +32,7 @@ BAD_P = [
 ]
 P9 = (OddPrimeRequired, BAD_P[1][1])
 MULL_SING = (NotPRegular, "the Mullineux map is defined on p-regular partitions, got 2,1,1,1 at p=3")
-NO_RIM = (ValueError, "cannot remove a p-rim from the empty partition")
+NO_RIM = (EmptyPartition, "cannot remove a p-rim from the empty partition")
 NO_LABEL = (EmptyPartition, "labels need a nonempty partition")
 
 
@@ -110,10 +110,24 @@ def _rows():
     yield "mullineux", "choice", (LAM, 3, "middle"), choice
     yield "mullineux", "singular,choice", (SING, 3, "middle"), MULL_SING
     yield "mullineux", "p=9,choice", (LAM, 9, "middle"), P9
+    # the scan orientation is checked before it keys a cache
+    for value in ("bottom-up", None, 0, []):
+        orient = (ValueError, f"orientation must be an Orientation, got {value!r}")
+        yield "classify_nodes", f"orientation={value!r}", (LAM, 5, value), orient
+        for name in ("mullineux", "mullineux_image"):
+            yield name, f"orientation={value!r}", (LAM, 5, "smallest", value), orient
+    yield "classify_nodes", "p=9,orientation", (LAM, 9, None), P9
+    for name in ("mullineux", "mullineux_image"):
+        yield name, "choice,orientation", (LAM, 5, "middle", None), choice
+        yield name, "singular,orientation", (SING, 3, "smallest", None), MULL_SING
     sign = (ValueError, "sign must be '+' or '-', got 'x'")
     yield "make_label", "sign", (LAM, 3, "x"), sign
     yield "make_label", "p=9,sign", (LAM, 9, "x"), sign
     yield "make_label", "singular,sign", (SING, 3, "+"), MULL_SING
+    for value in (True, 1.0):
+        yield "make_label", f"sign={value!r}", (LAM, 5, value), (
+            ValueError, f"sign must be +1, -1 or None, got {value!r}")
+    yield "make_label", "p=9,sign=True", (LAM, 9, True), (ValueError, "sign must be +1, -1 or None, got True")
     for name in ("enumerate_js", "enumerate_partitions"):
         for p, msg in BAD_P:
             yield name, f"p={p!r}", (4, p), (OddPrimeRequired, msg)
@@ -141,6 +155,12 @@ def _rows():
         yield "run_check", f"{key}={value!r}", {"check_id": "L52", "n_max": 3, key: value}, (
             ValueError, f"{name} must be an integer, got {value!r}")
     yield "run_check", "n_min=1.5,p=9", {"check_id": "L52", "n_min": 1.5, "primes": (9,)}, P9
+    for value in (5, "5"):
+        yield "run_check", f"primes={value!r}", {"check_id": "L52", "n_max": 3, "primes": value}, (
+            ValueError, f"primes must be a tuple of odd primes, got {value!r}")
+    yield "run_check", "n_min=-1", {"check_id": "L52", "n_min": -1, "n_max": 3}, (ValueError, "n_min must be >= 0, got -1")
+    yield "run_check", "cap=-1", {"check_id": "L52", "n_max": 3, "cap": -1}, (
+        ValueError, "counterexample cap must be >= 0, got -1")
     yield "run_check", "n_min=1.5,n_max=-1", {"check_id": "L52", "n_min": 1.5, "n_max": -1}, (
         ValueError, "n_min must be an integer, got 1.5")
     for value in (True, 1.5, -1.5):
@@ -148,6 +168,13 @@ def _rows():
     yield "run_all", "max_n=1.5,checks=()", {"max_n": 1.5, "checks": ()}, (
         ValueError, "max_n must be an integer, got 1.5")
     yield "run_all", "cap=1.5", {"max_n": 2, "cap": 1.5}, (ValueError, "counterexample cap must be an integer, got 1.5")
+    report = LemmaReport("L52", 3, 3, (5,), 1, [{"n": 3}], 1, 0.0)
+    for value, want in ((-1, "must be >= 0, got -1"), (1.5, "must be an integer, got 1.5"),
+                        (True, "must be an integer, got True")):
+        yield "merge_reports", f"cap={value!r}", {"reports": [report], "cap": value}, (
+            ValueError, f"counterexample cap {want}")
+    yield "merge_reports", "cap=1.5,empty", {"reports": [], "cap": 1.5}, (
+        ValueError, "counterexample cap must be an integer, got 1.5")
     for value in (True, 3.5):
         yield "calibration_report", f"n_max={value!r}", {"n_max": value}, (
             ValueError, f"n_max must be an integer, got {value!r}")

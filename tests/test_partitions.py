@@ -194,27 +194,27 @@ class TestPartitionType:
         # result must equal what the checked constructor builds from its parts
         for n in range(0, 11):
             for lam in enumerate_partitions(n, 3):
-                assert lam == Partition(list(lam.parts))
+                assert lam == Partition(list(lam))
                 removable, addable = set(removable_nodes(lam)), set(addable_nodes(lam))
                 for r in range(-1, len(lam) + 3):
                     for c in range(-1, lam.row(1) + 3):
                         node = (r, c)
                         if node in removable:
-                            want = [x for x in lam.parts[: r - 1] + (c - 1,) + lam.parts[r:] if x]
+                            want = [x for x in lam[: r - 1] + (c - 1,) + lam[r:] if x]
                             got = lam.remove(node)
-                            assert got == Partition(want) == Partition(list(got.parts))
+                            assert got == Partition(want) == Partition(list(got))
                         else:
                             with pytest.raises(ValueError):
                                 lam.remove(node)
                         if node in addable:
-                            want = list(lam.parts[: r - 1]) + [c] + list(lam.parts[r:])
+                            want = list(lam[: r - 1]) + [c] + list(lam[r:])
                             got = lam.add(node)
-                            assert got == Partition(want) == Partition(list(got.parts))
+                            assert got == Partition(want) == Partition(list(got))
                         else:
                             with pytest.raises(ValueError):
                                 lam.add(node)
             for lam in enumerate_js(n, 5):
-                assert lam == Partition(list(lam.parts))
+                assert lam == Partition(list(lam))
 
     def test_unchecked_constructor_is_private(self):
         assert hasattr(Partition, "_trusted")
@@ -279,7 +279,7 @@ class TestPrimeValidation:
 
 class TestEnumeration:
     def test_descending_lex_order_n5(self):
-        got = [x.parts for x in enumerate_partitions(5, 5)]
+        got = [tuple(x) for x in enumerate_partitions(5, 5)]
         assert got == [
             (5,),
             (4, 1),
@@ -335,13 +335,13 @@ class TestEnumeration:
     def test_matches_filtered_walk(self, n):
         # order and content, all partitions and the p-regular ones
         walk = list(_filtered_walk(n))
-        assert [lam.parts for lam in enumerate_partitions(n, 3)] == walk
+        assert [tuple(lam) for lam in enumerate_partitions(n, 3)] == walk
         for p in (3, 5, 7, 11):
-            got = [lam.parts for lam in enumerate_partitions(n, p, regular_only=True)]
+            got = [tuple(lam) for lam in enumerate_partitions(n, p, regular_only=True)]
             assert got == [parts for parts in walk if _no_run_of(parts, p)]
 
     def test_matches_filtered_walk_at_40(self):
-        got = [lam.parts for lam in enumerate_partitions(40, 5, regular_only=True)]
+        got = [tuple(lam) for lam in enumerate_partitions(40, 5, regular_only=True)]
         assert got == [parts for parts in _filtered_walk(40) if _no_run_of(parts, 5)]
         assert len(got) == 17034
 
@@ -386,7 +386,7 @@ class TestSpechtDimension:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_corner_peeling_oracle(self, n):
         for lam in enumerate_partitions(n, 3):
-            assert specht_dimension(lam) == _syt_count(lam.parts)
+            assert specht_dimension(lam) == _syt_count(tuple(lam))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dimension_squares_sum_to_factorial(self, n):

@@ -42,7 +42,6 @@ from .labels import (
 from .mullineux import (
     MullineuxResult,
     attach_p_rim,
-    canonical_label,
     is_mullineux_fixed,
     mullineux,
     mullineux_image,
@@ -86,7 +85,6 @@ __all__ = [
     "addable_nodes",
     "attach_p_rim",
     "calibration_report",
-    "canonical_label",
     "classify_nodes",
     "classify_tensor",
     "conjugate",

@@ -29,14 +29,9 @@ e_tilde removes the bottom (largest-row) normal i-node; f_tilde adds the top
 (smallest-row) conormal i-node. Both return None when the operator is absent
 (eps_i = 0 resp. phi_i = 0); absence is a value, not an error.
 
-Two readers use the cache: classify_nodes and _tilde_e. The callers of
-_tilde_e classify its input just before (the Mullineux recursion picks its
-residue from epsilon, then steps down), so its reads hit. _tilde_f does not
-read the cache: each lifting step of the recursion builds a new image that a
-single query never classifies again (about half of the classifications of a
-stream of random queries were such images), so caching it would only cost
-memory and evict entries that are read again. _tilde_f instead runs the
-bracket pass over residue i alone and builds no NodeClassification.
+Only classify_nodes fills the cache; _tilde_e takes the classification its
+caller already holds, and _tilde_f runs the bracket pass over residue i alone,
+because the images it builds are seldom classified again.
 
 The readers that want only the counts, is_js and node_counts, take a run walk
 under the calibrated scan that caches nothing. A run of the part x over rows
@@ -51,7 +46,8 @@ never read again.
 Public functions validate their inputs once: the partition's type, p, i and
 the scan orientation.
 The Mullineux recursion calls the private cores _tilde_e/_tilde_f, which take
-the scan and skip the checks that its entry point has already made.
+the scan (_tilde_e as part of its classification) and skip the checks that
+its entry point has already made.
 """
 
 from __future__ import annotations
@@ -149,13 +145,14 @@ def _by_residue(nodes: tuple[Node, ...], p: int) -> tuple[tuple[Node, ...], ...]
 
 
 # Bounded so a ceiling sweep cannot fill memory; large enough for the working
-# set of a whole `modpart report` (8,400 classifications, 30,985 hits) and of a
+# set of a whole `modpart report` (8,400 classifications, 18,022 hits) and of a
 # fresh process that runs L52, JSEQ and L23 at n = 40 and MULLX at n = 30, all
-# at p = 5 (14,954). Both are _classify.cache_info() after the run, from src/:
-#   python -c "from modpart.cli import main; from modpart.branching import
-#   _classify; main(['report']); print(_classify.cache_info())"
-#   python -c "from modpart import run_check; from modpart.branching import
-#   _classify; [run_check(c, n_min=n, n_max=n, primes=(5,)) for c, n in
+# at p = 5 (14,954 classifications, 5,713 hits). Both are
+# _classify.cache_info() after the run, from src/:
+#   python -c "from modpart.cli import main; from modpart.branching import _classify;
+#   main(['report']); print(_classify.cache_info())"
+#   python -c "from modpart import run_check; from modpart.branching import _classify;
+#   [run_check(c, n_min=n, n_max=n, primes=(5,)) for c, n in
 #   (('L52', 40), ('JSEQ', 40), ('L23', 40), ('MULLX', 30))];
 #   print(_classify.cache_info())"
 @lru_cache(maxsize=16384)
@@ -256,11 +253,12 @@ def _check_residue(i: int, p: int) -> None:
         raise ValueError(f"residue must satisfy 0 <= i < p, got i={i}, p={p}")
 
 
-def _tilde_e(lam: Partition, i: int, p: int, orientation: Orientation) -> Partition | None:
-    """tilde_e for a valid p and residue i, under the given scan."""
-    _check_regular(lam, p, "tilde_e")
-    normal = _classify(lam, p, orientation).normal[i]
-    return lam.remove(normal[-1]) if normal else None
+def _tilde_e(nc: NodeClassification, i: int) -> Partition | None:
+    """tilde_e of the partition that nc classifies, for a valid residue i,
+    under nc's scan."""
+    _check_regular(nc.partition, nc.p, "tilde_e")
+    normal = nc.normal[i]
+    return nc.partition.remove(normal[-1]) if normal else None
 
 
 def _top_conormal(lam: Partition, i: int, p: int, orientation: Orientation) -> Node | None:
@@ -302,7 +300,7 @@ def tilde_e(lam: Partition, i: int, p: int) -> Partition | None:
     _check_partition(lam)
     validate_prime(p)
     _check_residue(i, p)
-    return _tilde_e(lam, i, p, CALIBRATED_ORIENTATION)
+    return _tilde_e(_classify(lam, p, CALIBRATED_ORIENTATION), i)
 
 
 def tilde_f(lam: Partition, i: int, p: int) -> Partition | None:

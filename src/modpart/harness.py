@@ -490,6 +490,8 @@ def run_check(
     are configuration errors. An empty n range passes vacuously with 0
     instances; an explicitly empty primes would sweep nothing and is rejected.
     """
+    if not isinstance(check_id, str):
+        raise ValueError(f"check id must be a string, got {check_id!r}")
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; known ids: {', '.join(CHECK_ORDER)}")
     if primes is not None and not isinstance(primes, (tuple, list)):
@@ -523,6 +525,8 @@ def run_all(
     """
     if max_n is not None:
         _check_non_negative(max_n, "max_n")
+    if checks is not None and not (isinstance(checks, (tuple, list)) and all(isinstance(c, str) for c in checks)):
+        raise ValueError(f"checks must be a tuple of check ids, got {checks!r}")
     if checks is not None and not checks:
         raise ValueError("empty check selection; omit checks to run them all")
     wanted = set(CHECK_ORDER if checks is None else checks)

@@ -28,7 +28,7 @@ from .errors import (
     SignRequired,
     UnsupportedCharacteristic,
 )
-from .mullineux import canonical_label, is_mullineux_fixed, mullineux_image
+from .mullineux import mullineux_image
 from .partitions import Partition, _check_partition
 
 
@@ -84,13 +84,14 @@ def make_label(lam: Partition, p: int, sign: int | str | None = None) -> AnIrred
         sign = 1 if sign == "+" else -1
     if sign is not None and (type(sign) is not int or abs(sign) != 1):
         raise ValueError(f"sign must be +1, -1 or None, got {sign!r}")
-    if is_mullineux_fixed(lam, p):
+    image = mullineux_image(lam, p)
+    if image == lam:
         if sign is None:
             raise SignRequired(f"{lam} is its own Mullineux image at p={p}; a sign is required")
         return AnIrreducible(LabelKind.SPLIT, lam, sign, lam.size, p)
     if sign is not None:
         raise SignOnNonFixed(f"{lam} is not its own Mullineux image at p={p}; no sign applies")
-    return AnIrreducible(LabelKind.NONSPLIT, canonical_label(lam, p), None, lam.size, p)
+    return AnIrreducible(LabelKind.NONSPLIT, max(lam, image), None, lam.size, p)
 
 
 def is_dimension_one(label: AnIrreducible) -> bool:
@@ -105,7 +106,7 @@ def is_dimension_one(label: AnIrreducible) -> bool:
     one-dimensional.
     """
     if label.kind is LabelKind.NONSPLIT:
-        return label.partition == Partition((label.n,))
+        return label.partition == (label.n,)
     return label.n <= 4
 
 
@@ -168,8 +169,7 @@ def classify_tensor(d1: AnIrreducible, d2: AnIrreducible) -> ClassificationOutco
         return ClassificationOutcome(Verdict.NOT_IRREDUCIBLE, reason=ReasonCode.N_DIVISIBLE_BY_P)
     if not is_js(split.partition, 5):
         return ClassificationOutcome(Verdict.NOT_IRREDUCIBLE, reason=ReasonCode.SPLIT_NOT_JS)
-    natural = Partition((n - 1, 1))
-    if natural not in nonsplit.pair:
+    if (n - 1, 1) not in nonsplit.pair:
         return ClassificationOutcome(
             Verdict.NOT_IRREDUCIBLE, reason=ReasonCode.PARTNER_NOT_NATURAL_LABEL
         )

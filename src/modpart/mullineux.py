@@ -80,7 +80,7 @@ def _mull(nc: NodeClassification, choice: ResidueChoice, links: dict) -> Partiti
     """
     lam, p, orientation = nc.partition, nc.p, nc.orientation
     i = _good_residue(nc, choice)
-    child = _tilde_e(lam, i, p, orientation)
+    child = _tilde_e(nc, i)
     assert child is not None
     child_image = links.get(child)
     if child_image is None:
@@ -115,9 +115,10 @@ def mullineux(
     trace = []
     cur = lam
     while cur:
-        i = _good_residue(classify_nodes(cur, p, orientation), residue_choice)
+        nc = classify_nodes(cur, p, orientation)
+        i = _good_residue(nc, residue_choice)
         trace.append(i)
-        cur = _tilde_e(cur, i, p, orientation)
+        cur = _tilde_e(nc, i)
     return MullineuxResult(image=image, trace=tuple(trace))
 
 
@@ -272,9 +273,3 @@ def mullineux_via_symbol(lam: Partition, p: int) -> Partition:
 def is_mullineux_fixed(lam: Partition, p: int) -> bool:
     """True when lam is its own Mullineux image."""
     return mullineux_image(lam, p) == lam
-
-
-def canonical_label(lam: Partition, p: int) -> Partition:
-    """Lexicographically larger of {lam, M(lam)}: the stored name of the pair."""
-    image = mullineux_image(lam, p)
-    return lam if lam >= image else image

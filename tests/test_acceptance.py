@@ -17,7 +17,6 @@ from modpart import (
     Partition,
     Verdict,
     calibration_report,
-    canonical_label,
     classify_tensor,
     enumerate_js,
     enumerate_partitions,
@@ -207,7 +206,7 @@ def _valid_labels(n: int) -> list:
             labels.append(make_label(lam, 5, "+"))
             labels.append(make_label(lam, 5, "-"))
         else:
-            can = canonical_label(lam, 5)
+            can = max(lam, mullineux_image(lam, 5))
             if can not in seen:
                 seen.add(can)
                 labels.append(make_label(lam, 5))

@@ -63,7 +63,6 @@ LAM_P = {
     "mullineux": ((), (MULL_SING, None, P9, P9)),
     "mullineux_image": ((), (MULL_SING, None, P9, P9)),
     "is_mullineux_fixed": ((), (MULL_SING, None, P9, P9)),
-    "canonical_label": ((), (MULL_SING, None, P9, P9)),
     "mullineux_symbol": ((), (MULL_SING, None, P9, P9)),
     "mullineux_via_symbol": ((), (MULL_SING, None, P9, P9)),
     "remove_p_rim": ((), (None, NO_RIM, P9, NO_RIM)),
@@ -163,6 +162,14 @@ def _rows():
         ValueError, "counterexample cap must be >= 0, got -1")
     yield "run_check", "n_min=1.5,n_max=-1", {"check_id": "L52", "n_min": 1.5, "n_max": -1}, (
         ValueError, "n_min must be an integer, got 1.5")
+    for value in ([], 5, None):
+        yield "run_check", f"check_id={value!r}", {"check_id": value}, (
+            ValueError, f"check id must be a string, got {value!r}")
+    for value in ("L52", 5, True, ["L52", 5]):
+        yield "run_all", f"checks={value!r}", {"max_n": 2, "checks": value}, (
+            ValueError, f"checks must be a tuple of check ids, got {value!r}")
+    yield "run_all", "max_n=1.5,checks='L52'", {"max_n": 1.5, "checks": "L52"}, (
+        ValueError, "max_n must be an integer, got 1.5")
     for value in (True, 1.5, -1.5):
         yield "run_all", f"max_n={value!r}", {"max_n": value}, (ValueError, f"max_n must be an integer, got {value!r}")
     yield "run_all", "max_n=1.5,checks=()", {"max_n": 1.5, "checks": ()}, (

@@ -12,7 +12,6 @@ from modpart import (
     Partition,
     ReasonCode,
     Verdict,
-    canonical_label,
     classify_tensor,
     enumerate_partitions,
     is_dimension_one,
@@ -102,12 +101,12 @@ class TestDimensionOne:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_agrees_with_the_canonical_label_of_one_row(self, p):
-        # The former definition compared a nonsplit label with
-        # canonical_label((n)). Every nonsplit label of n <= 20, and for
-        # n <= 30 the labels of M((n)) and of the ten lex-largest p-regular
-        # partitions of n.
+        # The former definition compared a nonsplit label with the larger of
+        # (n) and M((n)). Every nonsplit label of n <= 20, and for n <= 30 the
+        # labels of M((n)) and of the ten lex-largest p-regular partitions of n.
         for n in range(1, 31):
-            old = canonical_label(Partition((n,)), p)
+            row = Partition((n,))
+            old = max(row, mullineux_image(row, p))
             lams = list(islice(enumerate_partitions(n, p, regular_only=True), None if n <= 20 else 10))
             for lam in lams + [mullineux_image(Partition((n,)), p)]:
                 if not is_mullineux_fixed(lam, p):

@@ -15,17 +15,18 @@ from pathlib import Path
 
 import pytest
 
+import modpart.harness as harness
 from modpart import (
     EMPTY,
     MullineuxResult,
     Orientation,
     Partition,
     attach_p_rim,
-    canonical_label,
     conjugate,
     enumerate_partitions,
     classify_nodes,
     is_mullineux_fixed,
+    make_label,
     mullineux,
     mullineux_image,
     mullineux_symbol,
@@ -36,6 +37,7 @@ from modpart import (
     tilde_e,
     tilde_f,
 )
+from modpart.branching import _classify
 from modpart.errors import (
     InternalInconsistency,
     NotPRegular,
@@ -258,9 +260,10 @@ class TestFixedAndCanonical:
         assert not is_mullineux_fixed(parse_partition("2,2,1,1"), 5)
 
     def test_canonical_label(self):
-        assert canonical_label(parse_partition("7"), 5) == parse_partition("7")
-        assert canonical_label(parse_partition("2,2,2,1"), 5) == parse_partition("7")
-        assert canonical_label(parse_partition("4,1,1"), 3) == parse_partition("4,1,1")
+        # a label stores the lexicographically larger member of {lam, M(lam)}
+        assert make_label(parse_partition("7"), 5).partition == parse_partition("7")
+        assert make_label(parse_partition("2,2,2,1"), 5).partition == parse_partition("7")
+        assert make_label(parse_partition("4,1,1"), 3, "+").partition == parse_partition("4,1,1")
 
 
 def _distinct_odd_prime_to_p(n_max, p):
@@ -348,6 +351,97 @@ class TestMemo:
         assert mullineux(EMPTY, 5, residue_choice=choice) == MullineuxResult(image=EMPTY, trace=())
         assert mullineux_image(Partition((1,)), 5, residue_choice=choice) == Partition((1,))
 
+    @pytest.mark.parametrize(
+        "parts,p", [((200,), 3), ((200,), 5), ((200,), 7)] + [((200 - i, i), 5) for i in range(1, 5)]
+    )
+    def test_cold_chain_spends_one_frame_per_level(self, monkeypatch, parts, p):
+        # a cold chain of n levels needs n frames plus a fixed few for the
+        # entry and the operators at the bottom; one more frame per level, or
+        # at the bottom, turns queries just under the recursion limit into
+        # RecursionErrors
+        links = {}
+        monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", links)
+        lam = Partition(parts)
+
+        def cold():
+            links.clear()
+            _classify.cache_clear()
+            return mullineux_image(lam, p)
+
+        depth = deepest = 0
+
+        def profile(frame, event, arg):
+            nonlocal depth, deepest
+            if event == "call":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif event == "return":
+                depth -= 1
+
+        sys.setprofile(profile)
+        try:
+            image = cold()
+        finally:
+            sys.setprofile(None)
+        assert image == mullineux_via_symbol(lam, p)
+        assert deepest <= 1 + lam.size + 4  # cold(), then n + 4 under mullineux_image
+        # The limit also counts C calls, such as the signature cache's wrapper
+        # on a miss, which the profile does not see: measure it against a
+        # chain of as many plain calls.
+        assert _least_recursion_limit(cold) - _least_recursion_limit(lambda: _calls(lam.size)) <= 5
+
+    def test_links_outlive_the_call_that_stored_them(self):
+        # a fresh interpreter, so nothing but the first call fills the memo:
+        # from a cold start (1400) and (1398, 2) are deeper than the default
+        # recursion limit, but their chains end on links that (500) and
+        # (498, 2) left behind
+        code = (
+            "import json\n"
+            "from modpart import Partition, mullineux_image\n"
+            "print(json.dumps([list(mullineux_image(Partition(lam), 5)) for lam in\n"
+            "    [(500,), (1400,), (498, 2), (1398, 2)]][1::2]))\n"
+        )
+        one_row, two_row = json.loads(_run_fresh(code))
+        assert one_row == list(harness._one_row_closed(1400, 5))
+        assert two_row == list(harness._two_row_closed(1400, 2))
+
+
+def _calls(k):
+    """A chain of k + 1 plain Python calls."""
+    return _calls(k - 1) if k else None
+
+
+def _least_recursion_limit(call):
+    """The smallest recursion limit under which call() returns."""
+    saved = sys.getrecursionlimit()
+    lo, hi = 1, saved
+    try:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                sys.setrecursionlimit(mid)  # raises below the current depth
+                call()
+                hi = mid
+            except RecursionError:
+                lo = mid + 1
+    finally:
+        sys.setrecursionlimit(saved)
+    return lo
+
+
+def _run_fresh(code):
+    """stdout of code run in a fresh interpreter on this checkout's src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
 
 def _one_row_closed(n, p):
     a, b = divmod(n, p - 1)
@@ -374,16 +468,7 @@ class TestLargeN:
             "print(json.dumps([[list(mullineux_image(lam, p)), list(mullineux_via_symbol(lam, p))]"
             " for p in (3, 5, 7)]))\n"
         )
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        for p, (recursion, symbol) in zip((3, 5, 7), json.loads(proc.stdout)):
+        for p, (recursion, symbol) in zip((3, 5, 7), json.loads(_run_fresh(code))):
             assert recursion == symbol == _one_row_closed(n, p)
 
     @pytest.mark.parametrize("n", [3000, 5000])

@@ -13,9 +13,9 @@ a removable node is pushed, an addable node pops the nearest pushed node of
 its residue or else survives as conormal; what stays on a stack is normal.
 Row r holds at most the removable node (r, x) and the addable node
 (r, x + 1), whose residues differ by one, so no sorting or merging is needed.
-The cache holds only what this pass computes: the normal and conormal lists
-and their counts. The addable and removable lists of NodeClassification are
-derived on read from addable_nodes and removable_nodes.
+A NodeClassification holds only what this pass computes: the normal and
+conormal lists and their counts. Its addable and removable lists are derived
+on read from addable_nodes and removable_nodes.
 
 Two scan orders exist in the wild, so both are implemented and the shipped
 default is fixed by calibration against the Mullineux cross-checks (see
@@ -29,13 +29,15 @@ e_tilde removes the bottom (largest-row) normal i-node; f_tilde adds the top
 (smallest-row) conormal i-node. Both return None when the operator is absent
 (eps_i = 0 resp. phi_i = 0); absence is a value, not an error.
 
-Only classify_nodes fills the cache; _tilde_e takes the classification its
-caller already holds, and _tilde_f runs the bracket pass over residue i alone,
+The module caches nothing: every public call runs the pass from scratch, and
+a verification run (see harness) wraps _classify in its own bounded cache,
+dropped when the run returns. _tilde_e takes the classification its caller
+already holds, and _tilde_f runs the bracket pass over residue i alone,
 because the images it builds are seldom classified again.
 
 The readers that want only the counts, is_js and node_counts, take a run walk
-under the calibrated scan that caches nothing. A run of the part x over rows
-s..r holds exactly one removable node, (r, x), and one addable node,
+under the calibrated scan and never read a run's cache. A run of the part x
+over rows s..r holds exactly one removable node, (r, x), and one addable node,
 (s, x + 1); the rows strictly between hold no node, and the only other node
 is the addable (h + 1, 1). So the bottom-up word of the row pass is read off
 the runs alone: (h + 1, 1) first, then each run's removable node and its
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from typing import Callable
 
 from .errors import EmptyPartition, NotPRegular
 from .partitions import Node, Partition, _check_int, _check_partition, _regular, validate_prime
@@ -81,10 +83,9 @@ class NodeClassification:
     """Addable/removable/normal/conormal nodes of one partition, by residue.
 
     Node lists are top-to-bottom (ascending row). epsilon[i] and phi[i] are
-    the normal and conormal counts for residue i. The cached value stores
-    only what the bracket pass computes (normal and conormal lists, counts);
-    addable and removable are derived on read from addable_nodes and
-    removable_nodes.
+    the normal and conormal counts for residue i. It stores only what the
+    bracket pass computes (normal and conormal lists, counts); addable and
+    removable are derived on read from addable_nodes and removable_nodes.
     """
 
     partition: Partition
@@ -144,19 +145,12 @@ def _by_residue(nodes: tuple[Node, ...], p: int) -> tuple[tuple[Node, ...], ...]
     return tuple(map(tuple, out))
 
 
-# Bounded so a ceiling sweep cannot fill memory; large enough for the working
-# set of a whole `modpart report` (8,400 classifications, 18,022 hits) and of a
-# fresh process that runs L52, JSEQ and L23 at n = 40 and MULLX at n = 30, all
-# at p = 5 (14,954 classifications, 5,713 hits). Both are
-# _classify.cache_info() after the run, from src/:
-#   python -c "from modpart.cli import main; from modpart.branching import _classify;
-#   main(['report']); print(_classify.cache_info())"
-#   python -c "from modpart import run_check; from modpart.branching import _classify;
-#   [run_check(c, n_min=n, n_max=n, primes=(5,)) for c, n in
-#   (('L52', 40), ('JSEQ', 40), ('L23', 40), ('MULLX', 30))];
-#   print(_classify.cache_info())"
-@lru_cache(maxsize=16384)
-def _classify(lam: Partition, p: int, orientation: Orientation):
+# What the Mullineux recursion and the harness checks classify with:
+# classify_nodes, or a verification run's cache of _classify.
+Classifier = Callable[[Partition, int, Orientation], NodeClassification]
+
+
+def _classify(lam: Partition, p: int, orientation: Orientation) -> NodeClassification:
     # The single pass of the module docstring, over rows 1..h+1. It meets
     # every addable and removable node but keeps only the survivors.
     h = len(lam)
@@ -232,8 +226,8 @@ def _node_counts(lam: Partition, p: int) -> tuple[tuple[int, ...], tuple[int, ..
 
 
 def node_counts(lam: Partition, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(epsilon, phi) of classify_nodes(lam, p), without building or caching
-    the node lists.
+    """(epsilon, phi) of classify_nodes(lam, p), without building the node
+    lists.
 
     Defined for any partition, p-regular or not.
     """

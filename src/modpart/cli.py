@@ -24,7 +24,7 @@ import sys
 
 from .branching import classify_nodes
 from .errors import ModpartError
-from .harness import CHECK_ORDER, DEFAULT_CAP, calibration_report, run_all
+from .harness import CHECK_ORDER, DEFAULT_CAP, _new_classifier, calibration_report, run_all
 from .js import enumerate_js
 from .labels import classify_tensor, make_label
 from .mullineux import is_mullineux_fixed, mullineux, mullineux_image, mullineux_symbol
@@ -235,9 +235,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    calib = calibration_report(n_max=min(12, args.max_n) if args.max_n is not None else 12)
+    # one signature cache for the calibration and the run, so that run_all's
+    # checks read what the calibration's MULLX and CLOSED classified
+    classify = _new_classifier()
+    calib = calibration_report(n_max=min(12, args.max_n) if args.max_n is not None else 12, _classifier=classify)
     print(json.dumps(calib, separators=(",", ":")))
-    reports = run_all(max_n=args.max_n, cap=args.cap)
+    reports = run_all(max_n=args.max_n, cap=args.cap, _classifier=classify)
     for rep in reports:
         print(rep.to_json_line())
     bad = (not calib["unique"]) or any(not rep.passed for rep in reports)

@@ -15,6 +15,14 @@ may be sharded by n and merged (merge_reports); iteration order inside a
 check is deterministic (n ascending, primes ascending, partitions in
 descending lex), and a sweep is itself the merge of its cells, so a sharded
 run reproduces the unsharded report apart from elapsed.
+
+Each run owns one signature cache (_new_classifier): run_all, a lone
+run_check and calibration_report build one, and `modpart report` shares one
+between the calibration and run_all. _sweep passes it to every cell function,
+which reads classifications through it and calls the private operator cores;
+MULLX and CLOSED reach the Mullineux recursion through its private core with
+the same cache, so the later checks read what the recursion classified. The
+cache goes when the call returns, so no classification outlives its run.
 """
 
 from __future__ import annotations
@@ -22,18 +30,19 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 from .branching import (
     CALIBRATED_ORIENTATION,
+    Classifier,
     Orientation,
-    classify_nodes,
+    _classify,
+    _tilde_e,
+    _tilde_f,
     is_js,
     node_counts,
     removable_nodes,
-    tilde_e,
-    tilde_f,
 )
 from .errors import ModpartError, SweepTooLarge
 from .js import enumerate_js, is_js_arith
@@ -45,6 +54,7 @@ from .labels import (
     nu_of,
 )
 from .mullineux import (
+    _mullineux_image,
     is_mullineux_fixed,
     mullineux_image,
     mullineux_via_symbol,
@@ -63,7 +73,18 @@ from .partitions import (
 DEFAULT_CAP = 25
 DEFAULT_CEILING = 40
 
-CheckFn = Callable[[int, int], tuple[int, list[dict], dict | None]]
+CheckFn = Callable[[int, int, Classifier], tuple[int, list[dict], dict | None]]
+
+
+def _new_classifier() -> Classifier:
+    """One run's signature cache: _classify behind an LRU bound.
+
+    The bound holds the whole working set of `modpart report` (4,115
+    classifications and 13,523 hits) and of MULLX at n = 30, p = 5 (11,669
+    and 5,224), so nothing there is evicted; at the sweep ceiling it keeps
+    the cache from filling memory.
+    """
+    return lru_cache(maxsize=16384)(_classify)
 
 
 def _cx(p: int, n: int, lam: Partition | str, observed, expected) -> dict:
@@ -76,10 +97,11 @@ def _cx(p: int, n: int, lam: Partition | str, observed, expected) -> dict:
     }
 
 
-# --- check functions: fn(n, p) -> (instances, counterexamples, details) ----
+# --- check functions: fn(n, p, classify) -> (instances, counterexamples, details)
+# classify is the run's signature cache, called as classify(lam, p, orientation).
 
 
-def _check_l52(n: int, p: int):
+def _check_l52(n: int, p: int, classify: Classifier):
     """Every partition has one more conormal node than normal nodes."""
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p):
@@ -91,18 +113,18 @@ def _check_l52(n: int, p: int):
     return inst, cxs, None
 
 
-def _check_l47(n: int, p: int):
+def _check_l47(n: int, p: int, classify: Classifier):
     """tilde_f_i inverts tilde_e_i, with eps_i down one and phi_i up one."""
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
-        nc = classify_nodes(lam, p)
+        nc = classify(lam, p, CALIBRATED_ORIENTATION)
         for i in range(p):
             if nc.epsilon[i] == 0:
                 continue
             inst += 1
-            child = tilde_e(lam, i, p)
-            ncc = classify_nodes(child, p)
-            back = tilde_f(child, i, p)
+            child = _tilde_e(nc, i)
+            ncc = classify(child, p, CALIBRATED_ORIENTATION)
+            back = _tilde_f(child, i, p, CALIBRATED_ORIENTATION)
             if back != lam or ncc.epsilon[i] != nc.epsilon[i] - 1 or ncc.phi[i] != nc.phi[i] + 1:
                 cxs.append(
                     _cx(
@@ -115,16 +137,16 @@ def _check_l47(n: int, p: int):
     return inst, cxs, None
 
 
-def _check_l12(n: int, p: int):
+def _check_l12(n: int, p: int, classify: Classifier):
     """Removing a j-node: normal i-nodes persist, conormal i-nodes pull back (i != j)."""
     inst, cxs = 0, []
     for beta in enumerate_partitions(n, p):
-        ncb = classify_nodes(beta, p)
+        ncb = classify(beta, p, CALIBRATED_ORIENTATION)
         for node in removable_nodes(beta):
             inst += 1
             alpha = beta.remove(node)
             j = residue(node, p)
-            nca = classify_nodes(alpha, p)
+            nca = classify(alpha, p, CALIBRATED_ORIENTATION)
             for i in range(p):
                 if i == j:
                     continue
@@ -145,14 +167,14 @@ def _check_l12(n: int, p: int):
     return inst, cxs, None
 
 
-def _check_l17(n: int, p: int):
+def _check_l17(n: int, p: int, classify: Classifier):
     """eps/phi negate under the Mullineux map, which intertwines tilde_e_i and tilde_e_{-i}."""
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
         inst += 1
         try:
             img = mullineux_image(lam, p)
-            nc, nci = classify_nodes(lam, p), classify_nodes(img, p)
+            nc, nci = classify(lam, p, CALIBRATED_ORIENTATION), classify(img, p, CALIBRATED_ORIENTATION)
             bad = None
             for i in range(p):
                 k = (p - i) % p
@@ -166,8 +188,8 @@ def _check_l17(n: int, p: int):
                 for i in range(p):
                     if nc.epsilon[i] == 0:
                         continue
-                    lhs = mullineux_image(tilde_e(lam, i, p), p)
-                    rhs = tilde_e(img, (p - i) % p, p)
+                    lhs = mullineux_image(_tilde_e(nc, i), p)
+                    rhs = _tilde_e(nci, (p - i) % p)
                     if lhs != rhs:
                         bad = f"M(e_{i}(lam))={lhs} but e_{(p - i) % p}(M(lam))={rhs}"
                         break
@@ -178,7 +200,7 @@ def _check_l17(n: int, p: int):
     return inst, cxs, None
 
 
-def _check_l23(n: int, p: int):
+def _check_l23(n: int, p: int, classify: Classifier):
     """Self-Mullineux JS partitions: n == h^2 (mod p); at p=5 and n>=5 also h>=4.
 
     Visits only the partitions enumerate_js generates from the arithmetic
@@ -202,7 +224,7 @@ def _check_l23(n: int, p: int):
     return inst, cxs, None
 
 
-def _check_l29(n: int, p: int):
+def _check_l29(n: int, p: int, classify: Classifier):
     """Layer structure under e-tilde for self-Mullineux JS partitions at p=5."""
     if p != 5:
         return 0, [], None
@@ -210,17 +232,17 @@ def _check_l29(n: int, p: int):
     dist = {"1": 0, "4": 0}
     for lam in enumerate_js(n, 5, fixed_only=True):
         inst += 1
-        nc = classify_nodes(lam, 5)
+        nc = classify(lam, 5, CALIBRATED_ORIENTATION)
         if sum(nc.epsilon) != 1 or nc.epsilon[0] != 1:
             cxs.append(_cx(5, n, lam, f"eps={nc.epsilon}", "exactly one normal node, residue 0"))
             continue
-        mu = tilde_e(lam, 0, 5)
-        eps_mu = classify_nodes(mu, 5).epsilon
+        ncmu = classify(_tilde_e(nc, 0), 5, CALIBRATED_ORIENTATION)
+        eps_mu = ncmu.epsilon
         if tuple(eps_mu) != (0, 1, 0, 0, 1):
             cxs.append(_cx(5, n, lam, f"eps(e_0 lam)={eps_mu}", "support {1,4}, both 1"))
             continue
-        xi = {i: tilde_e(mu, i, 5) for i in (1, 4)}
-        eps_xi = {i: classify_nodes(xi[i], 5).epsilon for i in (1, 4)}
+        ncxi = {i: classify(_tilde_e(ncmu, i), 5, CALIBRATED_ORIENTATION) for i in (1, 4)}
+        eps_xi = {i: ncxi[i].epsilon for i in (1, 4)}
         good = []
         for i in (1, 4):
             want = {(5 - i) % 5, (2 * i) % 5}
@@ -237,20 +259,21 @@ def _check_l29(n: int, p: int):
             continue
         for i in good:
             dist[str(i)] += 1
-        a = tilde_e(xi[1], 4, 5)
-        b = tilde_e(xi[4], 1, 5)
+        a = _tilde_e(ncxi[1], 4)
+        b = _tilde_e(ncxi[4], 1)
         if a is None or b is None or a != b:
             cxs.append(_cx(5, n, lam, f"e_4 e_1(mu)={a}, e_1 e_4(mu)={b}", "equal and defined"))
     return inst, cxs, {"i_distribution": dist}
 
 
-def _check_l18(n: int, p: int):
+def _check_l18(n: int, p: int, classify: Classifier):
     """Self-Mullineux, two normal nodes in distinct residues: both children non-JS (n >= 4)."""
     if n < 4:
         return 0, [], None
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
-        eps = classify_nodes(lam, p).epsilon
+        nc = classify(lam, p, CALIBRATED_ORIENTATION)
+        eps = nc.epsilon
         if sum(eps) != 2 or sum(1 for e in eps if e) != 2:
             continue
         if not is_mullineux_fixed(lam, p):
@@ -259,19 +282,19 @@ def _check_l18(n: int, p: int):
         for i in range(p):
             if eps[i] == 0:
                 continue
-            child = tilde_e(lam, i, p)
+            child = _tilde_e(nc, i)
             if is_js(child, p):
                 cxs.append(_cx(p, n, lam, f"e_{i}(lam)={child} is JS", "both children non-JS"))
     return inst, cxs, None
 
 
-def _check_l20a(n: int, p: int):
+def _check_l20a(n: int, p: int, classify: Classifier):
     """S = sum_i eps_i(eps_i - 3 + m) is >= 2 when eps-total >= 3, >= 3 if self-Mullineux."""
     if p != 5:
         return 0, [], None
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, 5, regular_only=True):
-        eps = classify_nodes(lam, 5).epsilon
+        eps = classify(lam, 5, CALIBRATED_ORIENTATION).epsilon
         if sum(eps) < 3:
             continue
         inst += 1
@@ -283,7 +306,7 @@ def _check_l20a(n: int, p: int):
     return inst, cxs, None
 
 
-def _check_jseq(n: int, p: int):
+def _check_jseq(n: int, p: int, classify: Classifier):
     """The signature JS test and the arithmetic JS test agree."""
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
@@ -296,13 +319,13 @@ def _check_jseq(n: int, p: int):
     return inst, cxs, None
 
 
-def _check_mullx(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATION):
+def _check_mullx(n: int, p: int, classify: Classifier, orientation: Orientation = CALIBRATED_ORIENTATION):
     """Recursion route == symbol route; involution; conjugation for p > n; choice-free."""
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
         inst += 1
         try:
-            img = mullineux_image(lam, p, orientation=orientation)
+            img = _mullineux_image(lam, p, classify, orientation=orientation)
             problems = []
             sym = mullineux_via_symbol(lam, p)
             if img != sym:
@@ -311,12 +334,12 @@ def _check_mullx(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATI
                 problems.append(f"|M(lam)|={img.size}")
             if not is_p_regular(img, p):
                 problems.append(f"M(lam)={img} is p-singular")
-            back = mullineux_image(img, p, orientation=orientation)
+            back = _mullineux_image(img, p, classify, orientation=orientation)
             if back != lam:
                 problems.append(f"M(M(lam))={back}")
             if p > n and img != conjugate(lam):
                 problems.append(f"p>n but M(lam)={img} != conjugate {conjugate(lam)}")
-            if mullineux_image(lam, p, residue_choice="largest", orientation=orientation) != img:
+            if _mullineux_image(lam, p, classify, "largest", orientation) != img:
                 problems.append("depends on the residue choice")
             if problems:
                 cxs.append(_cx(p, n, lam, "; ".join(problems), "all Mullineux cross-checks"))
@@ -334,7 +357,7 @@ def _two_row_closed(n: int, i: int) -> Partition:
     return Partition(_one_row_closed(n - i, 5) + (1,) * i)
 
 
-def _check_closed(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTATION):
+def _check_closed(n: int, p: int, classify: Classifier, orientation: Orientation = CALIBRATED_ORIENTATION):
     """Mullineux images of (n) and, at p=5 for n>=12, of (n-i,i) match closed forms."""
     cases = [(Partition((n,)), _one_row_closed(n, p))] if n >= 1 else []
     if p == 5 and n >= 12:
@@ -342,7 +365,7 @@ def _check_closed(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTAT
     cxs = []
     for lam, want in cases:
         try:
-            img = mullineux_image(lam, p, orientation=orientation)
+            img = _mullineux_image(lam, p, classify, orientation=orientation)
             if img != want:
                 cxs.append(_cx(p, n, lam, str(img), str(want)))
         except ModpartError as e:
@@ -350,7 +373,7 @@ def _check_closed(n: int, p: int, orientation: Orientation = CALIBRATED_ORIENTAT
     return len(cases), cxs, None
 
 
-def _check_nuwf(n: int, p: int):
+def _check_nuwf(n: int, p: int, classify: Classifier):
     """Natural-family classification: verdicts match the predicate, nu well-formed."""
     if p != 5 or n < 5:
         return 0, [], None
@@ -458,9 +481,10 @@ class LemmaReport:
 
 
 def _sweep(
-    check_id: str, fn: CheckFn, lo: int, hi: int, primes: tuple[int, ...], cap: int
+    check_id: str, fn: CheckFn, lo: int, hi: int, primes: tuple[int, ...], cap: int, classify: Classifier
 ) -> LemmaReport:
-    """Fold fn's cells n in [lo, hi], p in primes through merge_reports.
+    """Fold fn's cells n in [lo, hi], p in primes through merge_reports; every
+    cell classifies through the run's cache, classify.
 
     The leading empty report carries the sweep's bounds and primes, so an
     empty sweep reports them too.
@@ -469,7 +493,7 @@ def _sweep(
     cells = [LemmaReport(check_id, lo, hi, primes, 0, [], 0, 0.0)]
     for n in range(lo, hi + 1):
         for p in primes:
-            inst, bad, det = fn(n, p)
+            inst, bad, det = fn(n, p, classify)
             cells.append(LemmaReport(check_id, n, n, (p,), inst, bad[:cap], len(bad), 0.0, det))
     report = merge_reports(cells, cap)
     report.elapsed = round(time.perf_counter() - start, 3)
@@ -483,12 +507,15 @@ def run_check(
     n_max: int | None = None,
     primes: tuple[int, ...] | None = None,
     cap: int = DEFAULT_CAP,
+    _classifier: Classifier | None = None,
 ) -> LemmaReport:
     """Run one check over its sweep (defaults from the registry).
 
     Bounds are validated against DEFAULT_CEILING; unknown ids and bad sweeps
     are configuration errors. An empty n range passes vacuously with 0
     instances; an explicitly empty primes would sweep nothing and is rejected.
+    The check classifies through a signature cache of its own, dropped when
+    it returns; run_all passes its run's cache as _classifier instead.
     """
     if not isinstance(check_id, str):
         raise ValueError(f"check id must be a string, got {check_id!r}")
@@ -507,7 +534,7 @@ def run_check(
     if hi > DEFAULT_CEILING:
         raise SweepTooLarge(f"n_max={hi} exceeds the sweep ceiling {DEFAULT_CEILING}")
     _check_non_negative(cap, "counterexample cap")
-    return _sweep(check_id, check.fn, lo, hi, ps, cap)
+    return _sweep(check_id, check.fn, lo, hi, ps, cap, _classifier or _new_classifier())
 
 
 def run_all(
@@ -515,6 +542,7 @@ def run_all(
     max_n: int | None = None,
     checks: tuple[str, ...] | None = None,
     cap: int = DEFAULT_CAP,
+    _classifier: Classifier | None = None,
 ) -> list[LemmaReport]:
     """Run the registry in canonical order; returns one report per check run.
 
@@ -522,6 +550,11 @@ def run_all(
     check (MULLX, CLOSED) fails, the remaining checks are skipped and the
     reports so far are returned. A negative max_n or an empty checks
     selection would run nothing and is rejected.
+
+    The checks share one signature cache, dropped when the run returns, so a
+    later check reads what MULLX, CLOSED and the checks before it
+    classified; `modpart report` passes the calibration's cache as
+    _classifier.
     """
     if max_n is not None:
         _check_non_negative(max_n, "max_n")
@@ -533,12 +566,13 @@ def run_all(
     unknown = wanted - set(CHECK_ORDER)
     if unknown:
         raise ValueError(f"unknown check ids: {sorted(unknown)}")
+    classify = _classifier or _new_classifier()
     reports = []
     for cid in CHECK_ORDER:
         if cid not in wanted:
             continue
         hi = CHECKS[cid].n_max if max_n is None else min(CHECKS[cid].n_max, max_n)
-        rep = run_check(cid, n_max=hi, cap=cap)
+        rep = run_check(cid, n_max=hi, cap=cap, _classifier=classify)
         reports.append(rep)
         if cid in ("MULLX", "CLOSED") and not rep.passed:
             break
@@ -554,6 +588,8 @@ def merge_reports(reports: list[LemmaReport], cap: int = DEFAULT_CAP) -> LemmaRe
     key by key in first-seen order.
     """
     _check_non_negative(cap, "counterexample cap")
+    if not (isinstance(reports, (tuple, list)) and all(isinstance(r, LemmaReport) for r in reports)):
+        raise ValueError(f"reports must be a list of LemmaReport, got {reports!r}")
     if not reports:
         raise ValueError("nothing to merge")
     ids = {r.id for r in reports}
@@ -579,24 +615,27 @@ def merge_reports(reports: list[LemmaReport], cap: int = DEFAULT_CAP) -> LemmaRe
     )
 
 
-def calibration_report(n_max: int = 12) -> dict:
+def calibration_report(n_max: int = 12, *, _classifier: Classifier | None = None) -> dict:
     """Run the orientation experiment: MULLX and CLOSED under both scans.
 
     Exactly one orientation must pass both; it must be the calibrated one.
     This is the only caller that passes a scan other than the calibrated one.
     Below n = 3 both scans pass, so the experiment cannot decide; an n_max
-    below 3 is rejected.
+    below 3 is rejected. The sweeps share one signature cache, dropped when
+    the experiment returns unless `modpart report` passed it as _classifier
+    to hand on to run_all.
     """
     _check_int(n_max, "n_max")
     if n_max < 3:
         raise ValueError(f"calibration needs n_max >= 3 (both scans pass below n = 3), got {n_max}")
+    classify = _classifier or _new_classifier()
     per_orientation: dict[str, dict] = {}
     for o in (Orientation.BOTTOM_UP, Orientation.TOP_DOWN):
         entry = {}
         for cid in ("MULLX", "CLOSED"):
             check = CHECKS[cid]
             fn = partial(check.fn, orientation=o)
-            rep = _sweep(cid, fn, check.n_min, min(n_max, check.n_max), check.primes, cap=3)
+            rep = _sweep(cid, fn, check.n_min, min(n_max, check.n_max), check.primes, 3, classify)
             entry[cid] = {
                 "pass": rep.passed,
                 "instances": rep.instances,

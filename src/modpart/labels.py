@@ -94,6 +94,14 @@ def make_label(lam: Partition, p: int, sign: int | str | None = None) -> AnIrred
     return AnIrreducible(LabelKind.NONSPLIT, max(lam, image), None, lam.size, p)
 
 
+def _check_label(label: object) -> None:
+    """The type check of every public function that takes a label."""
+    if not isinstance(label, AnIrreducible):
+        raise ValueError(
+            f"expected an AnIrreducible label, got {type(label).__name__} {label!r}; build one with make_label(...)"
+        )
+
+
 def is_dimension_one(label: AnIrreducible) -> bool:
     """Whether the label names a one-dimensional module.
 
@@ -105,6 +113,7 @@ def is_dimension_one(label: AnIrreducible) -> bool:
     levels. Split labels: exactly n <= 4, where the split halves are
     one-dimensional.
     """
+    _check_label(label)
     if label.kind is LabelKind.NONSPLIT:
         return label.partition == (label.n,)
     return label.n <= 4
@@ -150,6 +159,8 @@ def classify_tensor(d1: AnIrreducible, d2: AnIrreducible) -> ClassificationOutco
     BothNonSplit, DoubleSplit, NDivisibleByP, SplitNotJS,
     PartnerNotNaturalLabel. Factors of dimension one are out of contract.
     """
+    _check_label(d1)
+    _check_label(d2)
     if d1.p != d2.p or d1.n != d2.n:
         raise LabelMismatch(
             f"labels live on different groups: (n={d1.n}, p={d1.p}) vs (n={d2.n}, p={d2.p})"

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .branching import (
     CALIBRATED_ORIENTATION,
+    Classifier,
     NodeClassification,
     Orientation,
     _tilde_e,
@@ -52,9 +53,9 @@ def _check_input(lam: Partition, p: int) -> None:
 # (p, residue choice, orientation) -> {partition: image}, seeded with
 # M(empty) = empty. One link per partition keeps a chain of n steps at O(n)
 # memory. Links hold images only: mullineux() rebuilds the residue trace on
-# demand by one descent. The memo is read inline, never through a cache
-# wrapper, so each level of the recursion costs one recursion-limit frame (a C
-# cache wrapper costs two). Failures are not stored.
+# demand by one descent. The memo is read inline, never through a wrapper
+# function, so each level of the recursion costs one recursion-limit frame.
+# Failures are not stored.
 _MULL_LINKS: dict[tuple, dict[Partition, Partition]] = {}
 
 
@@ -70,13 +71,13 @@ def _good_residue(nc: NodeClassification, choice: ResidueChoice) -> int:
     return candidates[0] if choice == "smallest" else candidates[-1]
 
 
-def _mull(nc: NodeClassification, choice: ResidueChoice, links: dict) -> Partition:
-    """Image of the nonempty partition that nc classifies and links lacks.
+def _mull(nc: NodeClassification, choice: ResidueChoice, links: dict, classify: Classifier) -> Partition:
+    """Image of the nonempty partition that nc classifies and links lacks;
+    classify(child, p, orientation) classifies each level below it.
 
-    Each level classifies its child before descending to it, so a
-    classification that misses the signature cache spends its frames beside
-    the child's level, not below it: the deepest level then needs no more
-    frames than its own operators.
+    Each level classifies its child before descending to it, so the frames
+    of that classification sit beside the child's level, not below it: the
+    deepest level then needs no more frames than its own operators.
     """
     lam, p, orientation = nc.partition, nc.p, nc.orientation
     i = _good_residue(nc, choice)
@@ -84,7 +85,7 @@ def _mull(nc: NodeClassification, choice: ResidueChoice, links: dict) -> Partiti
     assert child is not None
     child_image = links.get(child)
     if child_image is None:
-        child_image = _mull(classify_nodes(child, p, orientation), choice, links)
+        child_image = _mull(classify(child, p, orientation), choice, links, classify)
     image = _tilde_f(child_image, (p - i) % p, p, orientation)
     if image is None:
         raise InternalInconsistency(
@@ -137,10 +138,30 @@ def mullineux_image(
         raise ValueError(f"residue_choice must be 'smallest' or 'largest', got {residue_choice!r}")
     if not isinstance(orientation, Orientation):
         raise ValueError(f"orientation must be an Orientation, got {orientation!r}")
+    # _mullineux_image's body inline, not a call to it: one more frame under
+    # every cold chain would turn queries just under the recursion limit into
+    # RecursionErrors.
     links = _MULL_LINKS.setdefault((p, residue_choice, orientation), {EMPTY: EMPTY})
     image = links.get(lam)
     if image is None:
-        image = _mull(classify_nodes(lam, p, orientation), residue_choice, links)
+        image = _mull(classify_nodes(lam, p, orientation), residue_choice, links, classify_nodes)
+    return image
+
+
+def _mullineux_image(
+    lam: Partition,
+    p: int,
+    classify: Classifier,
+    residue_choice: ResidueChoice = "smallest",
+    orientation: Orientation = CALIBRATED_ORIENTATION,
+) -> Partition:
+    """mullineux_image for checked arguments, classifying each level with
+    classify(lam, p, orientation): a verification run's cache, so that the
+    run's later checks read what the recursion classified."""
+    links = _MULL_LINKS.setdefault((p, residue_choice, orientation), {EMPTY: EMPTY})
+    image = links.get(lam)
+    if image is None:
+        image = _mull(classify(lam, p, orientation), residue_choice, links, classify)
     return image
 
 

@@ -153,6 +153,8 @@ EMPTY = Partition()
 
 def parse_partition(text: str) -> Partition:
     """Parse "8,2", exponent form "4^3,1^2", or "[]" for the empty partition."""
+    if not isinstance(text, str):
+        raise MalformedPartition(f"expected a partition string, got {type(text).__name__} {text!r}")
     s = text.strip()
     if s == "[]":
         return EMPTY
@@ -221,6 +223,8 @@ def conjugate(lam: Partition) -> Partition:
 def residue(node: Node, p: int) -> int:
     """Residue (col - row) mod p of a 1-based node."""
     validate_prime(p)
+    if not (isinstance(node, tuple) and len(node) == 2 and type(node[0]) is type(node[1]) is int):
+        raise ValueError(f"node must be a (row, column) pair of integers, got {node!r}")
     r, c = node
     return (c - r) % p
 

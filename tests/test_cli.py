@@ -258,7 +258,7 @@ class TestVerify:
     def test_failing_duplicated_check_is_not_a_gate_failure(self, capsys, monkeypatch):
         # run_all runs a repeated id once; a failing non-gate check must not
         # be reported as skipping the checks after it
-        def failing(n, p):
+        def failing(n, p, classify):
             return 1, [{"n": n, "p": p}], None
 
         monkeypatch.setitem(CHECKS, "L52", replace(CHECKS["L52"], fn=failing))

@@ -196,6 +196,19 @@ def _rows():
     for value in (True, 3.5):
         yield "calibration_report", f"n_max={value!r}", {"n_max": value}, (
             ValueError, f"n_max must be an integer, got {value!r}")
+    # arguments of the wrong type get the error their neighbouring checks raise
+    for value in (["x"], True):
+        yield "merge_reports", f"reports={value!r}", {"reports": value}, (
+            ValueError, f"reports must be a list of LemmaReport, got {value!r}")
+    yield "parse_partition", "None", (None,), (MalformedPartition, "expected a partition string, got NoneType None")
+    for value in (None, (1, 2.0)):
+        yield "residue", f"node={value!r}", (value, 5), (
+            ValueError, f"node must be a (row, column) pair of integers, got {value!r}")
+    label = modpart.make_label(Partition((3, 1)), 5)
+    not_label = (ValueError, "expected an AnIrreducible label, got NoneType None; build one with make_label(...)")
+    yield "is_dimension_one", "None", (None,), not_label
+    yield "classify_tensor", "None,None", (None, None), not_label
+    yield "classify_tensor", "label,None", (label, None), not_label
 
 
 ROWS = list(_rows())

@@ -12,11 +12,13 @@ from modpart import (
     Orientation,
     Partition,
     calibration_report,
+    classify_nodes,
     merge_reports,
     run_all,
     run_check,
 )
 from modpart.errors import SweepTooLarge
+from test_mullineux import _run_fresh
 
 
 def _no_elapsed(d: dict) -> dict:
@@ -249,7 +251,7 @@ class TestClosedCells:
         # flipped scan; this pins the order and the text of every one, at the
         # cells where the two-row cases join the one-row case
         cells = [
-            harness.CHECKS["CLOSED"].fn(n, 5, orientation=Orientation.TOP_DOWN)
+            harness.CHECKS["CLOSED"].fn(n, 5, classify_nodes, orientation=Orientation.TOP_DOWN)
             for n in (12, 13, 14)
         ]
         for n, (inst, cxs, details) in zip((12, 13, 14), cells):
@@ -326,3 +328,27 @@ class TestCalibration:
             "calibrated": "bottom-up",
             "unique": True,
         }
+
+
+class TestRunState:
+    def test_no_classification_outlives_its_run(self):
+        # a fresh interpreter, so that nothing this suite holds is counted:
+        # each run owns its signature cache, and the public functions keep
+        # no classification once they return
+        code = (
+            "import gc\n"
+            "from modpart import Partition, calibration_report, classify_nodes, mullineux, run_all, run_check, tilde_e\n"
+            "from modpart.branching import NodeClassification\n"
+            "run_all(max_n=8)\n"
+            "run_check('L12', n_min=9, n_max=10, primes=(5,))\n"
+            "calibration_report(3)\n"
+            "lam = Partition((6, 3, 1))\n"
+            "classify_nodes(lam, 5), tilde_e(lam, 0, 5), mullineux(lam, 5)\n"
+            "gc.collect()\n"
+            "print(sum(isinstance(o, NodeClassification) for o in gc.get_objects()))\n"
+        )
+        assert _run_fresh(code).strip() == "0"
+
+    def test_repeated_run_gives_the_same_lines(self):
+        runs = [[json.dumps(_no_elapsed(r.to_json_dict())) for r in run_all(max_n=10)] for _ in range(2)]
+        assert runs[0] == runs[1]

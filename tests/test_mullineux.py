@@ -37,7 +37,6 @@ from modpart import (
     tilde_e,
     tilde_f,
 )
-from modpart.branching import _classify
 from modpart.errors import (
     InternalInconsistency,
     NotPRegular,
@@ -365,7 +364,6 @@ class TestMemo:
 
         def cold():
             links.clear()
-            _classify.cache_clear()
             return mullineux_image(lam, p)
 
         depth = deepest = 0
@@ -385,9 +383,8 @@ class TestMemo:
             sys.setprofile(None)
         assert image == mullineux_via_symbol(lam, p)
         assert deepest <= 1 + lam.size + 4  # cold(), then n + 4 under mullineux_image
-        # The limit also counts C calls, such as the signature cache's wrapper
-        # on a miss, which the profile does not see: measure it against a
-        # chain of as many plain calls.
+        # The limit also counts C calls, which the profile does not see:
+        # measure it against a chain of as many plain calls.
         assert _least_recursion_limit(cold) - _least_recursion_limit(lambda: _calls(lam.size)) <= 5
 
     def test_links_outlive_the_call_that_stored_them(self):

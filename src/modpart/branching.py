@@ -22,8 +22,9 @@ default is fixed by calibration against the Mullineux cross-checks (see
 harness.calibration_report): BOTTOM_UP, i.e. the scan runs from the last row
 up to row 1, so a removable node cancels against the nearest surviving
 addable node strictly above it. The scan is an explicit argument of
-classify_nodes, mullineux and mullineux_image only; the flipped orientation is
-kept only so the calibration experiment can demonstrate it fails.
+classify_nodes and of the harness's recursion core (mullineux._mullineux_image)
+only; the flipped orientation is kept only so the calibration experiment can
+demonstrate it fails.
 
 e_tilde removes the bottom (largest-row) normal i-node; f_tilde adds the top
 (smallest-row) conormal i-node. Both return None when the operator is absent
@@ -35,21 +36,25 @@ dropped when the run returns. _tilde_e takes the classification its caller
 already holds, and _tilde_f runs the bracket pass over residue i alone,
 because the images it builds are seldom classified again.
 
-The readers that want only the counts, is_js and node_counts, take a run walk
-under the calibrated scan and never read a run's cache. A run of the part x
+The readers that want only the counts, is_js, node_counts and the public
+Mullineux recursion below its root, take a run walk under the calibrated scan
+and never read a run's cache. A run of the part x
 over rows s..r holds exactly one removable node, (r, x), and one addable node,
 (s, x + 1); the rows strictly between hold no node, and the only other node
 is the addable (h + 1, 1). So the bottom-up word of the row pass is read off
 the runs alone: (h + 1, 1) first, then each run's removable node and its
 addable node, from the last run up. At the sweep ceiling every partition is
 counted once, so a cached classification would only be built, evicted and
-never read again.
+never read again. The public recursion reads only which eps_i is the smallest
+nonzero one, then finds the node it removes by _bottom_normal, a bracket pass
+over residue i alone, as _tilde_f finds its node by _top_conormal.
 
 Public functions validate their inputs once: the partition's type, p, i and
 the scan orientation.
-The Mullineux recursion calls the private cores _tilde_e/_tilde_f, which take
-the scan (_tilde_e as part of its classification) and skip the checks that
-its entry point has already made.
+The Mullineux recursion calls the private cores _tilde_f, _bottom_normal and,
+on the harness path, _tilde_e, which take the scan (_tilde_e as part of its
+classification, _bottom_normal only the calibrated one) and skip the checks
+that its entry point has already made.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .errors import EmptyPartition, NotPRegular
+from .errors import ArgumentError, EmptyPartition, NotPRegular
 from .partitions import Node, Partition, _check_int, _check_partition, _regular, validate_prime
 
 
@@ -192,9 +197,8 @@ def classify_nodes(
     """
     _check_partition(lam)
     validate_prime(p)
-    # Inline, not a helper: the Mullineux recursion calls this once per level.
     if not isinstance(orientation, Orientation):
-        raise ValueError(f"orientation must be an Orientation, got {orientation!r}")
+        raise ArgumentError(f"orientation must be an Orientation, got {orientation!r}")
     return _classify(lam, p, orientation)
 
 
@@ -244,7 +248,7 @@ def _check_regular(lam: Partition, p: int, what: str) -> None:
 def _check_residue(i: int, p: int) -> None:
     _check_int(i, "residue i")
     if not (0 <= i < p):
-        raise ValueError(f"residue must satisfy 0 <= i < p, got i={i}, p={p}")
+        raise ArgumentError(f"residue must satisfy 0 <= i < p, got i={i}, p={p}")
 
 
 def _tilde_e(nc: NodeClassification, i: int) -> Partition | None:
@@ -279,6 +283,30 @@ def _top_conormal(lam: Partition, i: int, p: int, orientation: Orientation) -> N
                 if not bottom_up:
                     break
     return top
+
+
+def _bottom_normal(lam: Partition, i: int, p: int) -> Node | None:
+    """_classify(lam, p, BOTTOM_UP).normal[i][-1], or None when eps_i = 0, by
+    a bottom-up bracket pass over residue i alone.
+
+    Bottom-up, the bottom normal i-node is the first removable i-node met
+    that no addable i-node above it cancels: the bottom of the bracket stack
+    at the end of the pass. The addable (h + 1, 1) comes first, with nothing
+    open, so the pass starts at row h.
+    """
+    h = len(lam)
+    open_removable = 0
+    bottom = None
+    for r in range(h, 0, -1):
+        x = lam[r - 1]
+        if (x - r) % p == i:
+            if x > (lam[r] if r < h else 0):
+                if not open_removable:
+                    bottom = (r, x)
+                open_removable += 1
+        elif open_removable and (x + 1 - r) % p == i and (r == 1 or lam[r - 2] > x):
+            open_removable -= 1
+    return bottom if open_removable else None
 
 
 def _tilde_f(lam: Partition, i: int, p: int, orientation: Orientation) -> Partition | None:

@@ -23,7 +23,7 @@ import os
 import sys
 
 from .branching import classify_nodes
-from .errors import ModpartError
+from .errors import ArgumentError, ModpartError
 from .harness import CHECK_ORDER, DEFAULT_CAP, _new_classifier, calibration_report, run_all
 from .js import enumerate_js
 from .labels import classify_tensor, make_label
@@ -263,11 +263,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except ArgumentError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except ModpartError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError as e:
         print(f"error: RecursionError: {e}", file=sys.stderr)

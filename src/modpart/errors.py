@@ -2,12 +2,19 @@
 
 Everything derives from ModpartError so callers can catch the package's
 errors in one clause; the concrete classes name the violated precondition
-(the CLI prints the class name on exit code 2).
+(the CLI prints the class name on exit code 2, except for an ArgumentError,
+whose text names the argument).
 """
 
 
 class ModpartError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class ArgumentError(ModpartError, ValueError):
+    """An argument other than a partition or a prime has the wrong type or
+    value: a count, a residue, a scan orientation, a sign, a node, a check
+    id, a list of primes, checks or reports, or a sweep bound."""
 
 
 class PartitionError(ModpartError, ValueError):

@@ -44,7 +44,7 @@ from .branching import (
     node_counts,
     removable_nodes,
 )
-from .errors import ModpartError, SweepTooLarge
+from .errors import ArgumentError, ModpartError, SweepTooLarge
 from .js import enumerate_js, is_js_arith
 from .labels import (
     ReasonCode,
@@ -518,13 +518,13 @@ def run_check(
     it returns; run_all passes its run's cache as _classifier instead.
     """
     if not isinstance(check_id, str):
-        raise ValueError(f"check id must be a string, got {check_id!r}")
+        raise ArgumentError(f"check id must be a string, got {check_id!r}")
     if check_id not in CHECKS:
-        raise ValueError(f"unknown check id {check_id!r}; known ids: {', '.join(CHECK_ORDER)}")
+        raise ArgumentError(f"unknown check id {check_id!r}; known ids: {', '.join(CHECK_ORDER)}")
     if primes is not None and not isinstance(primes, (tuple, list)):
-        raise ValueError(f"primes must be a tuple of odd primes, got {primes!r}")
+        raise ArgumentError(f"primes must be a tuple of odd primes, got {primes!r}")
     if primes is not None and not primes:
-        raise ValueError("empty primes; omit primes to sweep the check's default primes")
+        raise ArgumentError("empty primes; omit primes to sweep the check's default primes")
     check = CHECKS[check_id]
     lo = check.n_min if n_min is None else n_min
     hi = check.n_max if n_max is None else n_max
@@ -559,13 +559,13 @@ def run_all(
     if max_n is not None:
         _check_non_negative(max_n, "max_n")
     if checks is not None and not (isinstance(checks, (tuple, list)) and all(isinstance(c, str) for c in checks)):
-        raise ValueError(f"checks must be a tuple of check ids, got {checks!r}")
+        raise ArgumentError(f"checks must be a tuple of check ids, got {checks!r}")
     if checks is not None and not checks:
-        raise ValueError("empty check selection; omit checks to run them all")
+        raise ArgumentError("empty check selection; omit checks to run them all")
     wanted = set(CHECK_ORDER if checks is None else checks)
     unknown = wanted - set(CHECK_ORDER)
     if unknown:
-        raise ValueError(f"unknown check ids: {sorted(unknown)}")
+        raise ArgumentError(f"unknown check ids: {sorted(unknown)}")
     classify = _classifier or _new_classifier()
     reports = []
     for cid in CHECK_ORDER:
@@ -589,12 +589,12 @@ def merge_reports(reports: list[LemmaReport], cap: int = DEFAULT_CAP) -> LemmaRe
     """
     _check_non_negative(cap, "counterexample cap")
     if not (isinstance(reports, (tuple, list)) and all(isinstance(r, LemmaReport) for r in reports)):
-        raise ValueError(f"reports must be a list of LemmaReport, got {reports!r}")
+        raise ArgumentError(f"reports must be a list of LemmaReport, got {reports!r}")
     if not reports:
-        raise ValueError("nothing to merge")
+        raise ArgumentError("nothing to merge")
     ids = {r.id for r in reports}
     if len(ids) != 1:
-        raise ValueError(f"cannot merge reports of different checks: {sorted(ids)}")
+        raise ArgumentError(f"cannot merge reports of different checks: {sorted(ids)}")
     tallies = [r.details for r in reports if r.details is not None]
     details = {} if tallies else None
     for tally in tallies:
@@ -627,7 +627,7 @@ def calibration_report(n_max: int = 12, *, _classifier: Classifier | None = None
     """
     _check_int(n_max, "n_max")
     if n_max < 3:
-        raise ValueError(f"calibration needs n_max >= 3 (both scans pass below n = 3), got {n_max}")
+        raise ArgumentError(f"calibration needs n_max >= 3 (both scans pass below n = 3), got {n_max}")
     classify = _classifier or _new_classifier()
     per_orientation: dict[str, dict] = {}
     for o in (Orientation.BOTTOM_UP, Orientation.TOP_DOWN):

@@ -20,6 +20,7 @@ from enum import Enum
 
 from .branching import is_js
 from .errors import (
+    ArgumentError,
     DimensionOneFactor,
     EmptyPartition,
     InternalInconsistency,
@@ -80,10 +81,10 @@ def make_label(lam: Partition, p: int, sign: int | str | None = None) -> AnIrred
         raise EmptyPartition("labels need a nonempty partition")
     if isinstance(sign, str):
         if sign not in ("+", "-"):
-            raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+            raise ArgumentError(f"sign must be '+' or '-', got {sign!r}")
         sign = 1 if sign == "+" else -1
     if sign is not None and (type(sign) is not int or abs(sign) != 1):
-        raise ValueError(f"sign must be +1, -1 or None, got {sign!r}")
+        raise ArgumentError(f"sign must be +1, -1 or None, got {sign!r}")
     image = mullineux_image(lam, p)
     if image == lam:
         if sign is None:
@@ -97,7 +98,7 @@ def make_label(lam: Partition, p: int, sign: int | str | None = None) -> AnIrred
 def _check_label(label: object) -> None:
     """The type check of every public function that takes a label."""
     if not isinstance(label, AnIrreducible):
-        raise ValueError(
+        raise ArgumentError(
             f"expected an AnIrreducible label, got {type(label).__name__} {label!r}; build one with make_label(...)"
         )
 

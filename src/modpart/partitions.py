@@ -19,6 +19,7 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import (
+    ArgumentError,
     EmptyPartition,
     MalformedPartition,
     NonPositivePart,
@@ -50,7 +51,7 @@ def validate_prime(p: int) -> int:
     return p
 
 
-def _check_int(value: object, name: str, error: type[Exception] = ValueError) -> None:
+def _check_int(value: object, name: str, error: type[Exception] = ArgumentError) -> None:
     """The type check of an integer argument other than p: an int, not a bool.
 
     Runs just before the argument's range check and raises that check's
@@ -62,10 +63,10 @@ def _check_int(value: object, name: str, error: type[Exception] = ValueError) ->
 
 
 def _check_non_negative(value: object, name: str) -> None:
-    """The check of a count argument: an int >= 0, else a ValueError."""
+    """The check of a count argument: an int >= 0, else an ArgumentError."""
     _check_int(value, name)
     if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+        raise ArgumentError(f"{name} must be >= 0, got {value}")
 
 
 class Partition(tuple):
@@ -128,7 +129,7 @@ class Partition(tuple):
         """Partition with one removable node deleted."""
         r, c = node
         if self.row(r) != c or self.row(r + 1) >= c:
-            raise ValueError(f"{node} is not a removable node of {self}")
+            raise ArgumentError(f"{node} is not a removable node of {self}")
         x = self[r - 1] - 1
         return Partition._trusted(self[: r - 1] + ((x,) if x else ()) + self[r:])
 
@@ -136,7 +137,7 @@ class Partition(tuple):
         """Partition with one addable node appended."""
         r, c = node
         if not (self.row(r) + 1 == c and (r == 1 or self.row(r - 1) >= c)):
-            raise ValueError(f"{node} is not an addable node of {self}")
+            raise ArgumentError(f"{node} is not an addable node of {self}")
         return Partition._trusted(self[: r - 1] + (c,) + self[r:])
 
 
@@ -224,7 +225,7 @@ def residue(node: Node, p: int) -> int:
     """Residue (col - row) mod p of a 1-based node."""
     validate_prime(p)
     if not (isinstance(node, tuple) and len(node) == 2 and type(node[0]) is type(node[1]) is int):
-        raise ValueError(f"node must be a (row, column) pair of integers, got {node!r}")
+        raise ArgumentError(f"node must be a (row, column) pair of integers, got {node!r}")
     r, c = node
     return (c - r) % p
 

@@ -29,7 +29,7 @@ from modpart import (
     tilde_e,
     tilde_f,
 )
-from modpart.branching import _tilde_f, _top_conormal
+from modpart.branching import _bottom_normal, _classify, _tilde_f, _top_conormal
 from modpart.errors import EmptyPartition, NotPRegular
 
 
@@ -292,6 +292,24 @@ class TestLiftingScan:
                                 assert tilde_f(lam, i, p) == lifted
                         cases += 1
         assert cases == 1597 * 2 * p
+
+    # The public Mullineux recursion finds the node it removes by a bracket
+    # pass over one residue, bottom-up; the classification's bottom normal
+    # node is the oracle, on every partition of n <= 16 (singular ones
+    # included), every residue: 915 partitions x p residues.
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_bottom_normal_matches_classification(self, p):
+        cases = singular = 0
+        for n in range(17):
+            for lam in enumerate_partitions(n, p):
+                singular += not is_p_regular(lam, p)
+                normal = _classify(lam, p, Orientation.BOTTOM_UP).normal
+                for i in range(p):
+                    want = normal[i][-1] if normal[i] else None
+                    assert _bottom_normal(lam, i, p) == want, (lam, i)
+                    cases += 1
+        assert cases == 915 * p
+        assert singular > 0
 
 
 class TestNodeCounts:

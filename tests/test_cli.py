@@ -273,6 +273,12 @@ class TestVerify:
         assert code == 2
         assert "unknown check ids" in err
 
+    def test_argument_error_prints_its_text_alone(self, capsys):
+        # an argument check's error is a ModpartError, printed without its
+        # class name, as the plain ValueError it replaced was
+        code, out, err = run_cli(capsys, "verify", "--checks", "NOPE,L52", "--max-n", "4")
+        assert (code, out, err) == (2, "", "error: unknown check ids: ['NOPE']\n")
+
 
 class TestReport:
     def test_default_report_matches_reference(self, capsys):

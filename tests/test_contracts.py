@@ -1,9 +1,11 @@
 """The input contract of every public entry point, as one table.
 
 Each row calls one public function (or one test-local entry from LOCAL,
-which names what the package computes inline) with one bad input (or a combination of
-two, which pins the order in which the checks run) and names the exact error
-class and message it raises, or None when the input is accepted. Every
+which names what the package computes inline or a method of Partition) with
+one bad input (or a combination of two, which pins the order in which the
+checks run) and names the exact error class and message it raises, or None
+when the input is accepted. A bad argument other than a partition or a
+prime raises ArgumentError. Every
 function that takes a partition accepts only a Partition: a plain tuple is
 rejected first, before any other argument is checked. The rows
 describe the package's behaviour at the API boundary only, so they must hold
@@ -15,6 +17,7 @@ import pytest
 import modpart
 from modpart import EMPTY, LemmaReport, Partition
 from modpart.errors import (
+    ArgumentError,
     EmptyPartition,
     MalformedPartition,
     NotPRegular,
@@ -42,7 +45,7 @@ def _sing(what):
 
 
 def _residue(i, p):
-    return (ValueError, f"residue must satisfy 0 <= i < p, got i={i}, p={p}")
+    return (ArgumentError, f"residue must satisfy 0 <= i < p, got i={i}, p={p}")
 
 
 def _not_partition(parts):
@@ -91,8 +94,13 @@ def _canonical_label(lam, p):
     return max(lam, modpart.mullineux_image(lam, p))
 
 
-# test-local entries: what the package computes inline rather than exports
-LOCAL = {"canonical_label": _canonical_label}
+# test-local entries: what the package computes inline rather than exports,
+# and the node methods of Partition
+LOCAL = {
+    "canonical_label": _canonical_label,
+    "Partition.remove": Partition.remove,
+    "Partition.add": Partition.add,
+}
 
 
 def _rows():
@@ -108,43 +116,34 @@ def _rows():
             yield name, label, (lam, *extra, p), want
     for name in ("tilde_e", "tilde_f"):
         for i in (True, 1.5):
-            yield name, f"i={i!r}", (LAM, i, 5), (ValueError, f"residue i must be an integer, got {i!r}")
+            yield name, f"i={i!r}", (LAM, i, 5), (ArgumentError, f"residue i must be an integer, got {i!r}")
         yield name, "i=1.5,p=9", (LAM, 1.5, 9), P9
-        yield name, "singular,i=1.5", (SING, 1.5, 3), (ValueError, "residue i must be an integer, got 1.5")
+        yield name, "singular,i=1.5", (SING, 1.5, 3), (ArgumentError, "residue i must be an integer, got 1.5")
         yield name, "i=-1", (LAM, -1, 3), _residue(-1, 3)
         yield name, "i=p", (LAM, 3, 3), _residue(3, 3)
         yield name, "i=-1,p=9", (LAM, -1, 9), P9
         yield name, "singular,i=p", (SING, 3, 3), _residue(3, 3)
         yield name, "empty,i=p", (EMPTY, 5, 5), _residue(5, 5)
-    choice = (ValueError, "residue_choice must be 'smallest' or 'largest', got 'middle'")
-    yield "mullineux", "choice", (LAM, 3, "middle"), choice
-    yield "mullineux", "singular,choice", (SING, 3, "middle"), MULL_SING
-    yield "mullineux", "p=9,choice", (LAM, 9, "middle"), P9
-    # the scan orientation is checked before it keys a cache
+    # the scan orientation is checked before it selects a scan
     for value in ("bottom-up", None, 0, []):
-        orient = (ValueError, f"orientation must be an Orientation, got {value!r}")
-        yield "classify_nodes", f"orientation={value!r}", (LAM, 5, value), orient
-        for name in ("mullineux", "mullineux_image"):
-            yield name, f"orientation={value!r}", (LAM, 5, "smallest", value), orient
+        yield "classify_nodes", f"orientation={value!r}", (LAM, 5, value), (
+            ArgumentError, f"orientation must be an Orientation, got {value!r}")
     yield "classify_nodes", "p=9,orientation", (LAM, 9, None), P9
-    for name in ("mullineux", "mullineux_image"):
-        yield name, "choice,orientation", (LAM, 5, "middle", None), choice
-        yield name, "singular,orientation", (SING, 3, "smallest", None), MULL_SING
-    sign = (ValueError, "sign must be '+' or '-', got 'x'")
+    sign = (ArgumentError, "sign must be '+' or '-', got 'x'")
     yield "make_label", "sign", (LAM, 3, "x"), sign
     yield "make_label", "p=9,sign", (LAM, 9, "x"), sign
     yield "make_label", "singular,sign", (SING, 3, "+"), MULL_SING
     for value in (True, 1.0):
         yield "make_label", f"sign={value!r}", (LAM, 5, value), (
-            ValueError, f"sign must be +1, -1 or None, got {value!r}")
-    yield "make_label", "p=9,sign=True", (LAM, 9, True), (ValueError, "sign must be +1, -1 or None, got True")
+            ArgumentError, f"sign must be +1, -1 or None, got {value!r}")
+    yield "make_label", "p=9,sign=True", (LAM, 9, True), (ArgumentError, "sign must be +1, -1 or None, got True")
     for name in ("enumerate_js", "enumerate_partitions"):
         for p, msg in BAD_P:
             yield name, f"p={p!r}", (4, p), (OddPrimeRequired, msg)
-        yield name, "n=-1", (-1, 5), (ValueError, "n must be >= 0, got -1")
+        yield name, "n=-1", (-1, 5), (ArgumentError, "n must be >= 0, got -1")
         yield name, "n=-1,p=9", (-1, 9), P9
         for n in (True, 4.0, -1.0):
-            yield name, f"n={n!r}", (n, 5), (ValueError, f"n must be an integer, got {n!r}")
+            yield name, f"n={n!r}", (n, 5), (ArgumentError, f"n must be an integer, got {n!r}")
         yield name, "n=4.0,p=9", (4.0, 9), P9
     for p, msg in BAD_P:
         yield "residue", f"p={p!r}", ((1, 2), p), (OddPrimeRequired, msg)
@@ -163,50 +162,65 @@ def _rows():
     for key, value in (("n_min", True), ("n_min", 1.5), ("n_max", 2.5), ("n_max", 40.5), ("cap", True), ("cap", 1.5)):
         name = "counterexample cap" if key == "cap" else key
         yield "run_check", f"{key}={value!r}", {"check_id": "L52", "n_max": 3, key: value}, (
-            ValueError, f"{name} must be an integer, got {value!r}")
+            ArgumentError, f"{name} must be an integer, got {value!r}")
     yield "run_check", "n_min=1.5,p=9", {"check_id": "L52", "n_min": 1.5, "primes": (9,)}, P9
     for value in (5, "5"):
         yield "run_check", f"primes={value!r}", {"check_id": "L52", "n_max": 3, "primes": value}, (
-            ValueError, f"primes must be a tuple of odd primes, got {value!r}")
-    yield "run_check", "n_min=-1", {"check_id": "L52", "n_min": -1, "n_max": 3}, (ValueError, "n_min must be >= 0, got -1")
+            ArgumentError, f"primes must be a tuple of odd primes, got {value!r}")
+    yield "run_check", "n_min=-1", {"check_id": "L52", "n_min": -1, "n_max": 3}, (ArgumentError, "n_min must be >= 0, got -1")
     yield "run_check", "cap=-1", {"check_id": "L52", "n_max": 3, "cap": -1}, (
-        ValueError, "counterexample cap must be >= 0, got -1")
+        ArgumentError, "counterexample cap must be >= 0, got -1")
     yield "run_check", "n_min=1.5,n_max=-1", {"check_id": "L52", "n_min": 1.5, "n_max": -1}, (
-        ValueError, "n_min must be an integer, got 1.5")
+        ArgumentError, "n_min must be an integer, got 1.5")
     for value in ([], 5, None):
         yield "run_check", f"check_id={value!r}", {"check_id": value}, (
-            ValueError, f"check id must be a string, got {value!r}")
+            ArgumentError, f"check id must be a string, got {value!r}")
     for value in ("L52", 5, True, ["L52", 5]):
         yield "run_all", f"checks={value!r}", {"max_n": 2, "checks": value}, (
-            ValueError, f"checks must be a tuple of check ids, got {value!r}")
+            ArgumentError, f"checks must be a tuple of check ids, got {value!r}")
     yield "run_all", "max_n=1.5,checks='L52'", {"max_n": 1.5, "checks": "L52"}, (
-        ValueError, "max_n must be an integer, got 1.5")
+        ArgumentError, "max_n must be an integer, got 1.5")
     for value in (True, 1.5, -1.5):
-        yield "run_all", f"max_n={value!r}", {"max_n": value}, (ValueError, f"max_n must be an integer, got {value!r}")
+        yield "run_all", f"max_n={value!r}", {"max_n": value}, (ArgumentError, f"max_n must be an integer, got {value!r}")
     yield "run_all", "max_n=1.5,checks=()", {"max_n": 1.5, "checks": ()}, (
-        ValueError, "max_n must be an integer, got 1.5")
-    yield "run_all", "cap=1.5", {"max_n": 2, "cap": 1.5}, (ValueError, "counterexample cap must be an integer, got 1.5")
+        ArgumentError, "max_n must be an integer, got 1.5")
+    yield "run_all", "cap=1.5", {"max_n": 2, "cap": 1.5}, (ArgumentError, "counterexample cap must be an integer, got 1.5")
     report = LemmaReport("L52", 3, 3, (5,), 1, [{"n": 3}], 1, 0.0)
     for value, want in ((-1, "must be >= 0, got -1"), (1.5, "must be an integer, got 1.5"),
                         (True, "must be an integer, got True")):
         yield "merge_reports", f"cap={value!r}", {"reports": [report], "cap": value}, (
-            ValueError, f"counterexample cap {want}")
+            ArgumentError, f"counterexample cap {want}")
     yield "merge_reports", "cap=1.5,empty", {"reports": [], "cap": 1.5}, (
-        ValueError, "counterexample cap must be an integer, got 1.5")
+        ArgumentError, "counterexample cap must be an integer, got 1.5")
     for value in (True, 3.5):
         yield "calibration_report", f"n_max={value!r}", {"n_max": value}, (
-            ValueError, f"n_max must be an integer, got {value!r}")
+            ArgumentError, f"n_max must be an integer, got {value!r}")
     # arguments of the wrong type get the error their neighbouring checks raise
     for value in (["x"], True):
         yield "merge_reports", f"reports={value!r}", {"reports": value}, (
-            ValueError, f"reports must be a list of LemmaReport, got {value!r}")
+            ArgumentError, f"reports must be a list of LemmaReport, got {value!r}")
     yield "parse_partition", "None", (None,), (MalformedPartition, "expected a partition string, got NoneType None")
     for value in (None, (1, 2.0)):
         yield "residue", f"node={value!r}", (value, 5), (
-            ValueError, f"node must be a (row, column) pair of integers, got {value!r}")
+            ArgumentError, f"node must be a (row, column) pair of integers, got {value!r}")
     label = modpart.make_label(Partition((3, 1)), 5)
-    not_label = (ValueError, "expected an AnIrreducible label, got NoneType None; build one with make_label(...)")
+    not_label = (ArgumentError, "expected an AnIrreducible label, got NoneType None; build one with make_label(...)")
     yield "is_dimension_one", "None", (None,), not_label
+    # value checks of the arguments, each an ArgumentError with its own text
+    yield "run_check", "check_id='XX'", {"check_id": "XX"}, (
+        ArgumentError, f"unknown check id 'XX'; known ids: {', '.join(modpart.CHECK_ORDER)}")
+    yield "run_check", "primes=()", {"check_id": "L52", "primes": ()}, (
+        ArgumentError, "empty primes; omit primes to sweep the check's default primes")
+    yield "run_all", "checks=()", {"checks": ()}, (ArgumentError, "empty check selection; omit checks to run them all")
+    yield "run_all", "checks=('XX',)", {"checks": ("XX",)}, (ArgumentError, "unknown check ids: ['XX']")
+    yield "merge_reports", "reports=[]", {"reports": []}, (ArgumentError, "nothing to merge")
+    other = LemmaReport("L12", 3, 3, (5,), 1, [], 0, 0.0)
+    yield "merge_reports", "two checks", {"reports": [report, other]}, (
+        ArgumentError, "cannot merge reports of different checks: ['L12', 'L52']")
+    yield "calibration_report", "n_max=2", {"n_max": 2}, (
+        ArgumentError, "calibration needs n_max >= 3 (both scans pass below n = 3), got 2")
+    yield "Partition.remove", "(1,2)", (LAM, (1, 2)), (ArgumentError, "(1, 2) is not a removable node of 3,1")
+    yield "Partition.add", "(2,3)", (LAM, (2, 3)), (ArgumentError, "(2, 3) is not an addable node of 3,1")
     yield "classify_tensor", "None,None", (None, None), not_label
     yield "classify_tensor", "label,None", (label, None), not_label
 

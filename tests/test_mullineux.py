@@ -6,6 +6,7 @@ reproduce them, and the two routes must agree on sweeps.
 """
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -37,6 +38,8 @@ from modpart import (
     tilde_e,
     tilde_f,
 )
+from modpart.branching import _classify
+from modpart.mullineux import _mullineux_image
 from modpart.errors import (
     InternalInconsistency,
     NotPRegular,
@@ -228,9 +231,9 @@ class TestInvolutionAndFriends:
     def test_residue_choice_irrelevant(self):
         for n in range(1, 10):
             for lam in enumerate_partitions(n, 5, regular_only=True):
-                a = mullineux(lam, 5, residue_choice="smallest")
-                b = mullineux(lam, 5, residue_choice="largest")
-                assert a.image == b.image
+                a = _mullineux_image(lam, 5, classify_nodes, "smallest")
+                b = _mullineux_image(lam, 5, classify_nodes, "largest")
+                assert a == b == mullineux_image(lam, 5)
 
     def test_f_compatibility(self):
         # the recursion is built on e-tilde; check the f-tilde side independently
@@ -309,46 +312,79 @@ class TestContracts:
             mullineux_symbol(Partition((1, 1, 1, 1, 1)), 5)
 
     def test_bad_residue_choice(self):
-        with pytest.raises(ValueError):
-            mullineux(parse_partition("3,1"), 5, residue_choice="middle")
+        # only the harness picks a residue rule; an unknown one is neither
+        with pytest.raises(KeyError):
+            _mullineux_image(parse_partition("3,1"), 5, classify_nodes, "middle")
 
     def test_flipped_orientation_breaks_the_map(self):
         # under the wrong scan the recursion cannot even get started on (3) at p=3
         with pytest.raises(InternalInconsistency):
-            mullineux(parse_partition("3"), 3, orientation=Orientation.TOP_DOWN)
+            _mullineux_image(parse_partition("3"), 3, classify_nodes, "smallest", Orientation.TOP_DOWN)
+
+    @pytest.mark.parametrize("fn", [mullineux, mullineux_image])
+    def test_public_recursion_takes_no_scan_or_residue_rule(self, fn):
+        assert list(inspect.signature(fn).parameters) == ["lam", "p"]
 
 
 class TestMemo:
     def test_trace_does_not_depend_on_memo_state(self, monkeypatch):
         regular = [lam for n in range(0, 13) for lam in enumerate_partitions(n, 5, regular_only=True)]
-        choices = {"smallest": min, "largest": max}
         cold = {}
         for lam in regular:
-            for choice in choices:
-                monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
-                cold[lam, choice] = mullineux(lam, 5, residue_choice=choice)
+            monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+            cold[lam] = mullineux(lam, 5)
+            # the "largest" rule runs only on the harness path
+            monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+            cold[lam, "largest"] = _mullineux_image(lam, 5, classify_nodes, "largest")
         monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
         assert run_check("L17", n_min=1, n_max=12, primes=(5,)).passed
+        assert run_check("MULLX", n_min=1, n_max=12, primes=(5,)).passed
         for lam in regular:
-            for choice, pick in choices.items():
-                warm = mullineux(lam, 5, residue_choice=choice)
-                assert warm == cold[lam, choice]
-                # each step removes the good node of the chosen normal residue
-                cur = lam
-                for i in warm.trace:
-                    eps = classify_nodes(cur, 5).epsilon
-                    assert i == pick(j for j in range(5) if eps[j])
-                    cur = tilde_e(cur, i, 5)
-                assert cur == EMPTY
+            warm = mullineux(lam, 5)
+            assert warm == cold[lam]
+            assert _mullineux_image(lam, 5, classify_nodes, "largest") == cold[lam, "largest"]
+            # each step removes the good node of the smallest normal residue
+            cur = lam
+            for i in warm.trace:
+                eps = classify_nodes(cur, 5).epsilon
+                assert i == min(j for j in range(5) if eps[j])
+                cur = tilde_e(cur, i, 5)
+            assert cur == EMPTY
 
     @pytest.mark.parametrize("choice", ["smallest", "largest"])
     def test_empty_partition_on_a_fresh_memo(self, monkeypatch, choice):
-        # the memo's seed link M(empty) = empty is the only base case
+        # the memo's seed link M(empty) = empty is the only base case, on the
+        # public path (smallest) and on the harness path with either rule
+        def image(lam):
+            return _mullineux_image(lam, 5, classify_nodes, choice)
+
         monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
-        assert mullineux_image(EMPTY, 5, residue_choice=choice) == EMPTY
+        assert image(EMPTY) == EMPTY
         monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
-        assert mullineux(EMPTY, 5, residue_choice=choice) == MullineuxResult(image=EMPTY, trace=())
-        assert mullineux_image(Partition((1,)), 5, residue_choice=choice) == Partition((1,))
+        assert image(Partition((1,))) == Partition((1,))
+        if choice == "smallest":
+            monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+            assert mullineux_image(EMPTY, 5) == EMPTY
+            monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+            assert mullineux(EMPTY, 5) == MullineuxResult(image=EMPTY, trace=())
+            assert mullineux_image(Partition((1,)), 5) == Partition((1,))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_counted_descent_matches_classified_descent(self, monkeypatch, p):
+        # below its root the public recursion descends by normal counts and a
+        # one-residue bracket pass; the harness path descends through full
+        # classifications. Both share one links table, so each call starts
+        # cold: a shared memo would hide a wrong descent on either path.
+        cases = 0
+        for n in range(17):
+            for lam in enumerate_partitions(n, p, regular_only=True):
+                monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+                counted = mullineux_image(lam, p)
+                monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+                classified = _mullineux_image(lam, p, _classify)
+                assert counted == classified == mullineux_via_symbol(lam, p), lam
+                cases += 1
+        assert cases == {3: 405, 5: 690, 7: 814}[p]  # 1,909 in all
 
     @pytest.mark.parametrize(
         "parts,p", [((200,), 3), ((200,), 5), ((200,), 7)] + [((200 - i, i), 5) for i in range(1, 5)]

@@ -18,13 +18,13 @@ conormal lists and their counts. Its addable and removable lists are derived
 on read from addable_nodes and removable_nodes.
 
 Two scan orders exist in the wild, so both are implemented and the shipped
-default is fixed by calibration against the Mullineux cross-checks (see
+one is fixed by calibration against the Mullineux cross-checks (see
 harness.calibration_report): BOTTOM_UP, i.e. the scan runs from the last row
 up to row 1, so a removable node cancels against the nearest surviving
-addable node strictly above it. The scan is an explicit argument of
-classify_nodes and of the harness's recursion core (mullineux._mullineux_image)
-only; the flipped orientation is kept only so the calibration experiment can
-demonstrate it fails.
+addable node strictly above it. Every public function scans calibrated. A
+verification run fixes its scan once, in the Classifier it is built with
+(harness._new_classifier); only the calibration experiment builds one with
+the flipped orientation, to demonstrate that it fails.
 
 e_tilde removes the bottom (largest-row) normal i-node; f_tilde adds the top
 (smallest-row) conormal i-node. Both return None when the operator is absent
@@ -49,8 +49,7 @@ never read again. The public recursion reads only which eps_i is the smallest
 nonzero one, then finds the node it removes by _bottom_normal, a bracket pass
 over residue i alone, as _tilde_f finds its node by _top_conormal.
 
-Public functions validate their inputs once: the partition's type, p, i and
-the scan orientation.
+Public functions validate their inputs once: the partition's type, p and i.
 The Mullineux recursion calls the private cores _tilde_f, _bottom_normal and,
 on the harness path, _tilde_e, which take the scan (_tilde_e as part of its
 classification, _bottom_normal only the calibrated one) and skip the checks
@@ -61,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ArgumentError, EmptyPartition, NotPRegular
 from .partitions import Node, Partition, _check_int, _check_partition, _regular, validate_prime
@@ -150,9 +149,13 @@ def _by_residue(nodes: tuple[Node, ...], p: int) -> tuple[tuple[Node, ...], ...]
     return tuple(map(tuple, out))
 
 
-# What the Mullineux recursion and the harness checks classify with:
-# classify_nodes, or a verification run's cache of _classify.
-Classifier = Callable[[Partition, int, Orientation], NodeClassification]
+class Classifier(NamedTuple):
+    """What a verification run and its Mullineux recursion classify with:
+    classify(lam, p), the run's cache of _classify under the scan
+    orientation, which is fixed when the run is built."""
+
+    classify: Callable[[Partition, int], NodeClassification]
+    orientation: Orientation
 
 
 def _classify(lam: Partition, p: int, orientation: Orientation) -> NodeClassification:
@@ -188,18 +191,15 @@ def _classify(lam: Partition, p: int, orientation: Orientation) -> NodeClassific
     )
 
 
-def classify_nodes(
-    lam: Partition, p: int, orientation: Orientation = CALIBRATED_ORIENTATION
-) -> NodeClassification:
-    """Classify every addable/removable node of lam by residue.
+def classify_nodes(lam: Partition, p: int) -> NodeClassification:
+    """Classify every addable/removable node of lam by residue, under the
+    calibrated scan.
 
     Defined for any partition, p-regular or not.
     """
     _check_partition(lam)
     validate_prime(p)
-    if not isinstance(orientation, Orientation):
-        raise ArgumentError(f"orientation must be an Orientation, got {orientation!r}")
-    return _classify(lam, p, orientation)
+    return _classify(lam, p, CALIBRATED_ORIENTATION)
 
 
 def _node_counts(lam: Partition, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -237,10 +237,10 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     # one signature cache for the calibration and the run, so that run_all's
     # checks read what the calibration's MULLX and CLOSED classified
-    classify = _new_classifier()
-    calib = calibration_report(n_max=min(12, args.max_n) if args.max_n is not None else 12, _classifier=classify)
+    run = _new_classifier()
+    calib = calibration_report(n_max=min(12, args.max_n) if args.max_n is not None else 12, _classifier=run)
     print(json.dumps(calib, separators=(",", ":")))
-    reports = run_all(max_n=args.max_n, cap=args.cap, _classifier=classify)
+    reports = run_all(max_n=args.max_n, cap=args.cap, _classifier=run)
     for rep in reports:
         print(rep.to_json_line())
     bad = (not calib["unique"]) or any(not rep.passed for rep in reports)

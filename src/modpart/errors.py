@@ -13,8 +13,8 @@ class ModpartError(Exception):
 
 class ArgumentError(ModpartError, ValueError):
     """An argument other than a partition or a prime has the wrong type or
-    value: a count, a residue, a scan orientation, a sign, a node, a check
-    id, a list of primes, checks or reports, or a sweep bound."""
+    value: a count, a residue, a sign, a node, a check id, a list of primes,
+    checks or reports, or a sweep bound."""
 
 
 class PartitionError(ModpartError, ValueError):

@@ -16,13 +16,15 @@ check is deterministic (n ascending, primes ascending, partitions in
 descending lex), and a sweep is itself the merge of its cells, so a sharded
 run reproduces the unsharded report apart from elapsed.
 
-Each run owns one signature cache (_new_classifier): run_all, a lone
-run_check and calibration_report build one, and `modpart report` shares one
-between the calibration and run_all. _sweep passes it to every cell function,
-which reads classifications through it and calls the private operator cores;
-MULLX and CLOSED reach the Mullineux recursion through its private core with
-the same cache, so the later checks read what the recursion classified. The
-cache goes when the call returns, so no classification outlives its run.
+Each run owns one signature cache under one scan (_new_classifier): run_all,
+a lone run_check and calibration_report build a calibrated one, `modpart
+report` shares one between the calibration and run_all, and only
+calibration_report builds a flipped one. _sweep passes the run to every cell
+function, which reads classifications through it and calls the private
+operator cores under its scan; MULLX and CLOSED reach the Mullineux recursion
+through its private core with the same run, so the later checks read what
+the recursion classified. The cache goes when the call returns, so no
+classification outlives its run.
 """
 
 from __future__ import annotations
@@ -76,15 +78,16 @@ DEFAULT_CEILING = 40
 CheckFn = Callable[[int, int, Classifier], tuple[int, list[dict], dict | None]]
 
 
-def _new_classifier() -> Classifier:
-    """One run's signature cache: _classify behind an LRU bound.
+def _new_classifier(orientation: Orientation = CALIBRATED_ORIENTATION) -> Classifier:
+    """One run's signature cache: _classify under one scan, behind an LRU bound.
 
-    The bound holds the whole working set of `modpart report` (4,115
-    classifications and 13,523 hits) and of MULLX at n = 30, p = 5 (11,669
-    and 5,224), so nothing there is evicted; at the sweep ceiling it keeps
-    the cache from filling memory.
+    The bound holds the whole working set of `modpart report` (3,494
+    classifications and 11,553 hits in the calibrated cache that the
+    calibration hands on to run_all, 621 and 1,970 in the flipped one) and of
+    MULLX at n = 30, p = 5 (11,669 and 5,224), so nothing there is evicted;
+    at the sweep ceiling it keeps the cache from filling memory.
     """
-    return lru_cache(maxsize=16384)(_classify)
+    return Classifier(lru_cache(maxsize=16384)(partial(_classify, orientation=orientation)), orientation)
 
 
 def _cx(p: int, n: int, lam: Partition | str, observed, expected) -> dict:
@@ -97,11 +100,12 @@ def _cx(p: int, n: int, lam: Partition | str, observed, expected) -> dict:
     }
 
 
-# --- check functions: fn(n, p, classify) -> (instances, counterexamples, details)
-# classify is the run's signature cache, called as classify(lam, p, orientation).
+# --- check functions: fn(n, p, run) -> (instances, counterexamples, details)
+# run is the run's Classifier: run.classify(lam, p) reads its signature cache,
+# under the scan run.orientation.
 
 
-def _check_l52(n: int, p: int, classify: Classifier):
+def _check_l52(n: int, p: int, run: Classifier):
     """Every partition has one more conormal node than normal nodes."""
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p):
@@ -113,18 +117,18 @@ def _check_l52(n: int, p: int, classify: Classifier):
     return inst, cxs, None
 
 
-def _check_l47(n: int, p: int, classify: Classifier):
+def _check_l47(n: int, p: int, run: Classifier):
     """tilde_f_i inverts tilde_e_i, with eps_i down one and phi_i up one."""
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
-        nc = classify(lam, p, CALIBRATED_ORIENTATION)
+        nc = run.classify(lam, p)
         for i in range(p):
             if nc.epsilon[i] == 0:
                 continue
             inst += 1
             child = _tilde_e(nc, i)
-            ncc = classify(child, p, CALIBRATED_ORIENTATION)
-            back = _tilde_f(child, i, p, CALIBRATED_ORIENTATION)
+            ncc = run.classify(child, p)
+            back = _tilde_f(child, i, p, run.orientation)
             if back != lam or ncc.epsilon[i] != nc.epsilon[i] - 1 or ncc.phi[i] != nc.phi[i] + 1:
                 cxs.append(
                     _cx(
@@ -137,16 +141,16 @@ def _check_l47(n: int, p: int, classify: Classifier):
     return inst, cxs, None
 
 
-def _check_l12(n: int, p: int, classify: Classifier):
+def _check_l12(n: int, p: int, run: Classifier):
     """Removing a j-node: normal i-nodes persist, conormal i-nodes pull back (i != j)."""
     inst, cxs = 0, []
     for beta in enumerate_partitions(n, p):
-        ncb = classify(beta, p, CALIBRATED_ORIENTATION)
+        ncb = run.classify(beta, p)
         for node in removable_nodes(beta):
             inst += 1
             alpha = beta.remove(node)
             j = residue(node, p)
-            nca = classify(alpha, p, CALIBRATED_ORIENTATION)
+            nca = run.classify(alpha, p)
             for i in range(p):
                 if i == j:
                     continue
@@ -167,14 +171,14 @@ def _check_l12(n: int, p: int, classify: Classifier):
     return inst, cxs, None
 
 
-def _check_l17(n: int, p: int, classify: Classifier):
+def _check_l17(n: int, p: int, run: Classifier):
     """eps/phi negate under the Mullineux map, which intertwines tilde_e_i and tilde_e_{-i}."""
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
         inst += 1
         try:
             img = mullineux_image(lam, p)
-            nc, nci = classify(lam, p, CALIBRATED_ORIENTATION), classify(img, p, CALIBRATED_ORIENTATION)
+            nc, nci = run.classify(lam, p), run.classify(img, p)
             bad = None
             for i in range(p):
                 k = (p - i) % p
@@ -200,7 +204,7 @@ def _check_l17(n: int, p: int, classify: Classifier):
     return inst, cxs, None
 
 
-def _check_l23(n: int, p: int, classify: Classifier):
+def _check_l23(n: int, p: int, run: Classifier):
     """Self-Mullineux JS partitions: n == h^2 (mod p); at p=5 and n>=5 also h>=4.
 
     Visits only the partitions enumerate_js generates from the arithmetic
@@ -224,7 +228,7 @@ def _check_l23(n: int, p: int, classify: Classifier):
     return inst, cxs, None
 
 
-def _check_l29(n: int, p: int, classify: Classifier):
+def _check_l29(n: int, p: int, run: Classifier):
     """Layer structure under e-tilde for self-Mullineux JS partitions at p=5."""
     if p != 5:
         return 0, [], None
@@ -232,16 +236,16 @@ def _check_l29(n: int, p: int, classify: Classifier):
     dist = {"1": 0, "4": 0}
     for lam in enumerate_js(n, 5, fixed_only=True):
         inst += 1
-        nc = classify(lam, 5, CALIBRATED_ORIENTATION)
+        nc = run.classify(lam, 5)
         if sum(nc.epsilon) != 1 or nc.epsilon[0] != 1:
             cxs.append(_cx(5, n, lam, f"eps={nc.epsilon}", "exactly one normal node, residue 0"))
             continue
-        ncmu = classify(_tilde_e(nc, 0), 5, CALIBRATED_ORIENTATION)
+        ncmu = run.classify(_tilde_e(nc, 0), 5)
         eps_mu = ncmu.epsilon
         if tuple(eps_mu) != (0, 1, 0, 0, 1):
             cxs.append(_cx(5, n, lam, f"eps(e_0 lam)={eps_mu}", "support {1,4}, both 1"))
             continue
-        ncxi = {i: classify(_tilde_e(ncmu, i), 5, CALIBRATED_ORIENTATION) for i in (1, 4)}
+        ncxi = {i: run.classify(_tilde_e(ncmu, i), 5) for i in (1, 4)}
         eps_xi = {i: ncxi[i].epsilon for i in (1, 4)}
         good = []
         for i in (1, 4):
@@ -266,13 +270,13 @@ def _check_l29(n: int, p: int, classify: Classifier):
     return inst, cxs, {"i_distribution": dist}
 
 
-def _check_l18(n: int, p: int, classify: Classifier):
+def _check_l18(n: int, p: int, run: Classifier):
     """Self-Mullineux, two normal nodes in distinct residues: both children non-JS (n >= 4)."""
     if n < 4:
         return 0, [], None
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
-        nc = classify(lam, p, CALIBRATED_ORIENTATION)
+        nc = run.classify(lam, p)
         eps = nc.epsilon
         if sum(eps) != 2 or sum(1 for e in eps if e) != 2:
             continue
@@ -288,13 +292,13 @@ def _check_l18(n: int, p: int, classify: Classifier):
     return inst, cxs, None
 
 
-def _check_l20a(n: int, p: int, classify: Classifier):
+def _check_l20a(n: int, p: int, run: Classifier):
     """S = sum_i eps_i(eps_i - 3 + m) is >= 2 when eps-total >= 3, >= 3 if self-Mullineux."""
     if p != 5:
         return 0, [], None
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, 5, regular_only=True):
-        eps = classify(lam, 5, CALIBRATED_ORIENTATION).epsilon
+        eps = run.classify(lam, 5).epsilon
         if sum(eps) < 3:
             continue
         inst += 1
@@ -306,7 +310,7 @@ def _check_l20a(n: int, p: int, classify: Classifier):
     return inst, cxs, None
 
 
-def _check_jseq(n: int, p: int, classify: Classifier):
+def _check_jseq(n: int, p: int, run: Classifier):
     """The signature JS test and the arithmetic JS test agree."""
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
@@ -319,13 +323,13 @@ def _check_jseq(n: int, p: int, classify: Classifier):
     return inst, cxs, None
 
 
-def _check_mullx(n: int, p: int, classify: Classifier, orientation: Orientation = CALIBRATED_ORIENTATION):
+def _check_mullx(n: int, p: int, run: Classifier):
     """Recursion route == symbol route; involution; conjugation for p > n; choice-free."""
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
         inst += 1
         try:
-            img = _mullineux_image(lam, p, classify, orientation=orientation)
+            img = _mullineux_image(lam, p, run)
             problems = []
             sym = mullineux_via_symbol(lam, p)
             if img != sym:
@@ -334,12 +338,12 @@ def _check_mullx(n: int, p: int, classify: Classifier, orientation: Orientation 
                 problems.append(f"|M(lam)|={img.size}")
             if not is_p_regular(img, p):
                 problems.append(f"M(lam)={img} is p-singular")
-            back = _mullineux_image(img, p, classify, orientation=orientation)
+            back = _mullineux_image(img, p, run)
             if back != lam:
                 problems.append(f"M(M(lam))={back}")
             if p > n and img != conjugate(lam):
                 problems.append(f"p>n but M(lam)={img} != conjugate {conjugate(lam)}")
-            if _mullineux_image(lam, p, classify, "largest", orientation) != img:
+            if _mullineux_image(lam, p, run, "largest") != img:
                 problems.append("depends on the residue choice")
             if problems:
                 cxs.append(_cx(p, n, lam, "; ".join(problems), "all Mullineux cross-checks"))
@@ -357,7 +361,7 @@ def _two_row_closed(n: int, i: int) -> Partition:
     return Partition(_one_row_closed(n - i, 5) + (1,) * i)
 
 
-def _check_closed(n: int, p: int, classify: Classifier, orientation: Orientation = CALIBRATED_ORIENTATION):
+def _check_closed(n: int, p: int, run: Classifier):
     """Mullineux images of (n) and, at p=5 for n>=12, of (n-i,i) match closed forms."""
     cases = [(Partition((n,)), _one_row_closed(n, p))] if n >= 1 else []
     if p == 5 and n >= 12:
@@ -365,7 +369,7 @@ def _check_closed(n: int, p: int, classify: Classifier, orientation: Orientation
     cxs = []
     for lam, want in cases:
         try:
-            img = _mullineux_image(lam, p, classify, orientation=orientation)
+            img = _mullineux_image(lam, p, run)
             if img != want:
                 cxs.append(_cx(p, n, lam, str(img), str(want)))
         except ModpartError as e:
@@ -373,7 +377,7 @@ def _check_closed(n: int, p: int, classify: Classifier, orientation: Orientation
     return len(cases), cxs, None
 
 
-def _check_nuwf(n: int, p: int, classify: Classifier):
+def _check_nuwf(n: int, p: int, run: Classifier):
     """Natural-family classification: verdicts match the predicate, nu well-formed."""
     if p != 5 or n < 5:
         return 0, [], None
@@ -481,10 +485,10 @@ class LemmaReport:
 
 
 def _sweep(
-    check_id: str, fn: CheckFn, lo: int, hi: int, primes: tuple[int, ...], cap: int, classify: Classifier
+    check_id: str, fn: CheckFn, lo: int, hi: int, primes: tuple[int, ...], cap: int, run: Classifier
 ) -> LemmaReport:
     """Fold fn's cells n in [lo, hi], p in primes through merge_reports; every
-    cell classifies through the run's cache, classify.
+    cell classifies through run.
 
     The leading empty report carries the sweep's bounds and primes, so an
     empty sweep reports them too.
@@ -493,7 +497,7 @@ def _sweep(
     cells = [LemmaReport(check_id, lo, hi, primes, 0, [], 0, 0.0)]
     for n in range(lo, hi + 1):
         for p in primes:
-            inst, bad, det = fn(n, p, classify)
+            inst, bad, det = fn(n, p, run)
             cells.append(LemmaReport(check_id, n, n, (p,), inst, bad[:cap], len(bad), 0.0, det))
     report = merge_reports(cells, cap)
     report.elapsed = round(time.perf_counter() - start, 3)
@@ -566,13 +570,13 @@ def run_all(
     unknown = wanted - set(CHECK_ORDER)
     if unknown:
         raise ArgumentError(f"unknown check ids: {sorted(unknown)}")
-    classify = _classifier or _new_classifier()
+    run = _classifier or _new_classifier()
     reports = []
     for cid in CHECK_ORDER:
         if cid not in wanted:
             continue
         hi = CHECKS[cid].n_max if max_n is None else min(CHECKS[cid].n_max, max_n)
-        rep = run_check(cid, n_max=hi, cap=cap, _classifier=classify)
+        rep = run_check(cid, n_max=hi, cap=cap, _classifier=run)
         reports.append(rep)
         if cid in ("MULLX", "CLOSED") and not rep.passed:
             break
@@ -619,30 +623,28 @@ def calibration_report(n_max: int = 12, *, _classifier: Classifier | None = None
     """Run the orientation experiment: MULLX and CLOSED under both scans.
 
     Exactly one orientation must pass both; it must be the calibrated one.
-    This is the only caller that passes a scan other than the calibrated one.
-    Below n = 3 both scans pass, so the experiment cannot decide; an n_max
-    below 3 is rejected. The sweeps share one signature cache, dropped when
-    the experiment returns unless `modpart report` passed it as _classifier
-    to hand on to run_all.
+    This is the only code that builds a run under the flipped scan. Below
+    n = 3 both scans pass, so the experiment cannot decide; an n_max below 3
+    is rejected. Each scan's sweeps share one signature cache, dropped when
+    the experiment returns; `modpart report` passes its calibrated one as
+    _classifier, to hand on to run_all.
     """
     _check_int(n_max, "n_max")
     if n_max < 3:
         raise ArgumentError(f"calibration needs n_max >= 3 (both scans pass below n = 3), got {n_max}")
-    classify = _classifier or _new_classifier()
     per_orientation: dict[str, dict] = {}
-    for o in (Orientation.BOTTOM_UP, Orientation.TOP_DOWN):
+    for run in (_classifier or _new_classifier(), _new_classifier(Orientation.TOP_DOWN)):
         entry = {}
         for cid in ("MULLX", "CLOSED"):
             check = CHECKS[cid]
-            fn = partial(check.fn, orientation=o)
-            rep = _sweep(cid, fn, check.n_min, min(n_max, check.n_max), check.primes, 3, classify)
+            rep = _sweep(cid, check.fn, check.n_min, min(n_max, check.n_max), check.primes, 3, run)
             entry[cid] = {
                 "pass": rep.passed,
                 "instances": rep.instances,
                 "counterexamples_total": rep.counterexamples_total,
                 "first_counterexample": rep.counterexamples[0] if rep.counterexamples else None,
             }
-        per_orientation[o.value] = entry
+        per_orientation[run.orientation.value] = entry
     passing = [
         name
         for name in (Orientation.BOTTOM_UP.value, Orientation.TOP_DOWN.value)

@@ -9,9 +9,9 @@ The public functions always descend this way under the calibrated scan.
 Below the root, each level reads eps from the normal counts and finds the
 bottom normal i-node by one bracket pass over residue i, without a
 NodeClassification. The verification harness reaches the same recursion
-through _mullineux_image: it descends through its run's classifier, and it
-can pick the largest normal residue or the flipped scan, which MULLX and the
-calibration experiment need.
+through _mullineux_image: it descends through its run's Classifier, under
+the scan that run was built with, and it can pick the largest normal
+residue, which MULLX's residue-choice check needs.
 
 Oracle route: the rim symbol. Peel p-rims off lam, recording for each layer
 the pair (a_k = nodes removed, r_k = rows met). The image is the unique
@@ -27,12 +27,12 @@ check. For p > |lam| both degenerate to diagram conjugation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .branching import (
     CALIBRATED_ORIENTATION,
     Classifier,
-    NodeClassification,
     Orientation,
     _bottom_normal,
     _check_regular,
@@ -79,6 +79,7 @@ _MULL_LINKS: dict[tuple, dict[Partition, Partition]] = {}
 # normal residue i that the recursion removes from the nonempty mu. lam == mu
 # is the object the links store: on the harness path the run's cache's own
 # copy, so that the run's links and its classifications share partitions.
+# The harness binds _classified_step to its run and residue rule.
 Descent = Callable[[Partition, int], tuple[Partition, int, Partition]]
 
 
@@ -95,9 +96,10 @@ def _good_residue(
     return candidates[_PICK[choice]]
 
 
-def _classified_step(nc: NodeClassification, choice: ResidueChoice) -> tuple[Partition, int, Partition]:
-    """One level of the descent, read off the classification nc."""
-    i = _good_residue(nc.partition, nc.p, nc.epsilon, choice, nc.orientation)
+def _classified_step(run: Classifier, choice: ResidueChoice, mu: Partition, p: int) -> tuple[Partition, int, Partition]:
+    """One level of the harness's descent, read off run's classification of mu."""
+    nc = run.classify(mu, p)
+    i = _good_residue(nc.partition, p, nc.epsilon, choice, run.orientation)
     return nc.partition, i, _tilde_e(nc, i)
 
 
@@ -160,32 +162,23 @@ def mullineux_image(lam: Partition, p: int) -> Partition:
     links = _MULL_LINKS.setdefault((p, "smallest", CALIBRATED_ORIENTATION), {EMPTY: EMPTY})
     image = links.get(lam)
     if image is None:
-        root = _classified_step(classify_nodes(lam, p), "smallest")
-        image = _mull(*root, _count_step, links, p, CALIBRATED_ORIENTATION)
+        nc = classify_nodes(lam, p)
+        i = _good_residue(lam, p, nc.epsilon, "smallest", CALIBRATED_ORIENTATION)
+        image = _mull(lam, i, _tilde_e(nc, i), _count_step, links, p, CALIBRATED_ORIENTATION)
     return image
 
 
-def _mullineux_image(
-    lam: Partition,
-    p: int,
-    classify: Classifier,
-    residue_choice: ResidueChoice = "smallest",
-    orientation: Orientation = CALIBRATED_ORIENTATION,
-) -> Partition:
-    """mullineux_image for checked arguments, descending through
-    classify(lam, p, orientation): a verification run's cache, so that the
-    run's later checks read what the recursion classified. residue_choice
-    ("smallest" or "largest") picks the normal residue of each step, and
-    orientation is the scan of every step and lift; only the calibration
-    experiment passes the flipped one."""
-    links = _MULL_LINKS.setdefault((p, residue_choice, orientation), {EMPTY: EMPTY})
+def _mullineux_image(lam: Partition, p: int, run: Classifier, residue_choice: ResidueChoice = "smallest") -> Partition:
+    """mullineux_image for checked arguments, descending through run, a
+    verification run's Classifier, so that the run's later checks read what
+    the recursion classified. Every step and lift takes run's scan;
+    residue_choice ("smallest" or "largest") picks the normal residue of
+    each step."""
+    links = _MULL_LINKS.setdefault((p, residue_choice, run.orientation), {EMPTY: EMPTY})
     image = links.get(lam)
     if image is None:
-
-        def descend(mu: Partition, p: int) -> tuple[Partition, int, Partition]:
-            return _classified_step(classify(mu, p, orientation), residue_choice)
-
-        image = _mull(*descend(lam, p), descend, links, p, orientation)
+        descend = partial(_classified_step, run, residue_choice)
+        image = _mull(*descend(lam, p), descend, links, p, run.orientation)
     return image
 
 

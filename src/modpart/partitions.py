@@ -33,21 +33,31 @@ _PLAIN_TOKEN = re.compile(r"^\d+$")
 _EXP_TOKEN = re.compile(r"^(\d+)\^(\d+)$")
 
 
+# The largest p accepted anywhere; the largest prime below it is 65521. A
+# classification builds p lists and the primality check divides by trial up
+# to sqrt(p), so without a bound a small input could ask for unbounded work.
+P_BOUND = 2**16
+
+
 def validate_prime(p: int) -> int:
-    """Check that p is an odd prime (>= 3) and return it.
+    """Check that p is an odd prime (>= 3) no larger than P_BOUND and return it.
 
     p = 2 is rejected up front: none of the machinery in this package is
-    defined for even characteristic.
+    defined for even characteristic. p above P_BOUND is rejected before any
+    trial division.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise OddPrimeRequired(f"p must be an integer, got {p!r}")
     if p < 3 or p % 2 == 0:
         raise OddPrimeRequired(f"p must be an odd prime >= 3, got {p}")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise OddPrimeRequired(f"p must be prime, got {p} = {d} * {p // d}")
-        d += 2
+    if p > 7:  # 3, 5 and 7 need no trial division
+        if p > P_BOUND:
+            raise OddPrimeRequired(f"p must be at most {P_BOUND}, got {p}")
+        d = 3
+        while d * d <= p:
+            if p % d == 0:
+                raise OddPrimeRequired(f"p must be prime, got {p} = {d} * {p // d}")
+            d += 2
     return p
 
 

@@ -3,10 +3,12 @@
 The confluence oracle reduces the addable/removable word by cancelling one
 random matched pair at a time until none is left; the survivors must match
 the stack-based reduction regardless of cancellation order, for both scan
-orientations.
+orientations. The public classify_nodes always scans calibrated, so the
+tests that need a given scan classify through the private core _classify.
 """
 
 import hashlib
+import inspect
 import json
 import random
 
@@ -211,7 +213,7 @@ class TestClassification:
     def test_matches_random_cancellation_oracle(self, p, n, orientation):
         rng = random.Random(20260819 + n)
         for lam in enumerate_partitions(n, p):
-            nc = classify_nodes(lam, p, orientation)
+            nc = _classify(lam, p, orientation)
             for i in range(p):
                 normals, conormals = _random_cancellation(lam, p, i, orientation, rng)
                 assert normals == nc.normal[i]
@@ -219,7 +221,7 @@ class TestClassification:
 
     @pytest.mark.parametrize("text,p,orientation,want", PINNED_JSON)
     def test_json_dict_pinned(self, text, p, orientation, want):
-        assert classify_nodes(parse_partition(text), p, orientation).to_json_dict() == want
+        assert _classify(parse_partition(text), p, orientation).to_json_dict() == want
 
     def test_json_dicts_digest_pinned(self):
         # one JSON line per classification: n = 0..16, then p, then the scan,
@@ -229,7 +231,7 @@ class TestClassification:
             for p in (3, 5, 7, 11):
                 for orientation in Orientation:
                     for lam in enumerate_partitions(n, p):
-                        line = json.dumps(classify_nodes(lam, p, orientation).to_json_dict()) + "\n"
+                        line = json.dumps(_classify(lam, p, orientation).to_json_dict()) + "\n"
                         digest.update(line.encode())
         assert digest.hexdigest() == "82f88aefb07588b3481836a15339d785c36ea9342173f39fb281ce9b238c3141"
 
@@ -281,7 +283,7 @@ class TestLiftingScan:
             for lam in enumerate_partitions(n, p):
                 regular = is_p_regular(lam, p)
                 for orientation in Orientation:
-                    conormal = classify_nodes(lam, p, orientation).conormal
+                    conormal = _classify(lam, p, orientation).conormal
                     for i in range(p):
                         want = conormal[i][0] if conormal[i] else None
                         assert _top_conormal(lam, i, p, orientation) == want, (lam, i, orientation)
@@ -325,7 +327,7 @@ class TestNodeCounts:
         for n in range(23):
             for lam in enumerate_partitions(n, p):
                 singular += not is_p_regular(lam, p)
-                nc = classify_nodes(lam, p, CALIBRATED_ORIENTATION)
+                nc = classify_nodes(lam, p)
                 assert node_counts(lam, p) == (nc.epsilon, nc.phi), lam
                 cases += 1
         assert cases == 4508
@@ -356,10 +358,10 @@ class TestJsSignature:
 
 class TestOrientationContext:
     def test_override_and_restore(self):
-        # an explicit flipped scan leaves the default call untouched
+        # the flipped scan of the private core leaves the public call untouched
         lam = parse_partition("2,1")
         assert classify_nodes(lam, 3).epsilon == (0, 1, 0)
-        flipped = classify_nodes(lam, 3, Orientation.TOP_DOWN)
+        flipped = _classify(lam, 3, Orientation.TOP_DOWN)
         assert flipped.orientation is Orientation.TOP_DOWN
         assert flipped.epsilon != (0, 1, 0)
         assert classify_nodes(lam, 3).epsilon == (0, 1, 0)
@@ -367,7 +369,13 @@ class TestOrientationContext:
     def test_orientations_mirror_counts(self):
         # totals agree between scans even where the node sets differ
         for lam in enumerate_partitions(7, 3):
-            up = classify_nodes(lam, 3, Orientation.BOTTOM_UP)
-            down = classify_nodes(lam, 3, Orientation.TOP_DOWN)
+            up = _classify(lam, 3, Orientation.BOTTOM_UP)
+            down = _classify(lam, 3, Orientation.TOP_DOWN)
             assert sum(up.epsilon) + 1 == sum(up.phi)
             assert sum(down.epsilon) + 1 == sum(down.phi)
+
+    def test_public_classification_takes_no_scan(self):
+        # the scan is fixed where a verification run is built; the public
+        # entry always scans calibrated
+        assert list(inspect.signature(classify_nodes).parameters) == ["lam", "p"]
+        assert classify_nodes(parse_partition("2,1"), 3).orientation is CALIBRATED_ORIENTATION

@@ -11,8 +11,19 @@ from pathlib import Path
 
 import pytest
 
-from modpart import CHECKS, classify_nodes, classify_tensor, enumerate_partitions, make_label, parse_partition
+import modpart.cli as cli
+import modpart.harness as harness
+from modpart import (
+    CHECKS,
+    Orientation,
+    classify_nodes,
+    classify_tensor,
+    enumerate_partitions,
+    make_label,
+    parse_partition,
+)
 from modpart.cli import main
+from test_mullineux import MULLINEUX_MODULE
 
 REFERENCE_REPORT = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "report-default.jsonl"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -100,6 +111,14 @@ class TestMull:
         code, _, err = run_cli(capsys, "mull", "3,1", "--p", "9")
         assert code == 2
         assert "OddPrimeRequired" in err
+
+    def test_huge_p_is_exit_2(self, capsys):
+        # 2**61 - 1 is prime, but p above the bound is rejected before any
+        # trial division or per-residue list
+        code, out, err = run_cli(capsys, "mull", "5", "--p", "2305843009213693951")
+        assert code == 2
+        assert out == ""
+        assert err == "error: OddPrimeRequired: p must be at most 65536, got 2305843009213693951\n"
 
 
 class TestNodes:
@@ -207,6 +226,24 @@ class TestEnumerate:
         assert rows["2,2"] == "2"
         assert rows["3,1"] == "3"
 
+    @pytest.mark.parametrize("argv,want", [
+        (["--n", "4", "--p", "3"], '{"n": 4, "p": 3, "regular_only": false, "partitions": [{"partition": "4"}, '
+         '{"partition": "3,1"}, {"partition": "2,2"}, {"partition": "2,1,1"}, {"partition": "1,1,1,1"}]}'),
+        # hook-length dimensions of S_4; the empty partition has none
+        (["--n", "4", "--p", "3", "--dims"], '{"n": 4, "p": 3, "regular_only": false, "partitions": '
+         '[{"partition": "4", "dim": 1}, {"partition": "3,1", "dim": 3}, {"partition": "2,2", "dim": 2}, '
+         '{"partition": "2,1,1", "dim": 3}, {"partition": "1,1,1,1", "dim": 1}]}'),
+        (["--n", "0", "--p", "5", "--dims"], '{"n": 0, "p": 5, "regular_only": false, "partitions": '
+         '[{"partition": "[]", "dim": null}]}'),
+        (["--n", "5", "--p", "3", "--dims", "--regular-only"], '{"n": 5, "p": 3, "regular_only": true, '
+         '"partitions": [{"partition": "5", "dim": 1}, {"partition": "4,1", "dim": 4}, {"partition": "3,2", '
+         '"dim": 5}, {"partition": "3,1,1", "dim": 6}, {"partition": "2,2,1", "dim": 5}]}'),
+    ], ids=["plain", "dims", "empty-dims", "regular-dims"])
+    def test_json_golden(self, capsys, argv, want):
+        code, out, _ = run_cli(capsys, "enumerate", *argv, "--json")
+        assert code == 0
+        assert out == want + "\n"
+
     def test_reader_closing_the_pipe_is_exit_0(self):
         # `modpart enumerate --n 40 | head -1`: 37,338 lines overflow the pipe,
         # so the writer meets the closed pipe before it finishes
@@ -312,6 +349,28 @@ class TestReport:
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.splitlines()) == 13
 
+    def test_calibration_hands_its_cache_to_run_all(self, capsys, monkeypatch):
+        # report builds one calibrated signature cache, which the calibration
+        # hands on to run_all, and the calibration builds one flipped cache;
+        # report-default's query_p50_ms rests on the hand-off. The misses and
+        # hits sum to those of the single shared cache they replaced (4,115
+        # and 13,523). The Mullineux memo starts empty, so that what earlier
+        # tests linked does not spare the recursion its classifications.
+        built = []
+        new_classifier = harness._new_classifier
+
+        def recording(*args):
+            built.append(new_classifier(*args))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "_new_classifier", recording)
+        monkeypatch.setattr(cli, "_new_classifier", recording)
+        monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+        code, _, _ = run_cli(capsys, "report")
+        assert code == 0
+        work = [(run.orientation, run.classify.cache_info()[:2]) for run in built]
+        assert work == [(Orientation.BOTTOM_UP, (11553, 3494)), (Orientation.TOP_DOWN, (1970, 621))]
+
     def test_max_n_3_is_exit_0(self, capsys):
         # the smallest bound at which the calibration can single out a scan
         code, out, _ = run_cli(capsys, "report", "--max-n", "3")
@@ -326,7 +385,7 @@ class TestUsage:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--max-n", "-1"], ["verify", "--cap", "-1"],
+        ["verify", "--max-n", "-1"], ["verify", "--max-n", "x"], ["verify", "--cap", "-1"],
         ["verify", "--checks", ","], ["verify", "--checks", ""],
         ["report", "--max-n", "-5"], ["report", "--cap", "-1"],
         ["report", "--max-n", "2"],

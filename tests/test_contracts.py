@@ -124,11 +124,6 @@ def _rows():
         yield name, "i=-1,p=9", (LAM, -1, 9), P9
         yield name, "singular,i=p", (SING, 3, 3), _residue(3, 3)
         yield name, "empty,i=p", (EMPTY, 5, 5), _residue(5, 5)
-    # the scan orientation is checked before it selects a scan
-    for value in ("bottom-up", None, 0, []):
-        yield "classify_nodes", f"orientation={value!r}", (LAM, 5, value), (
-            ArgumentError, f"orientation must be an Orientation, got {value!r}")
-    yield "classify_nodes", "p=9,orientation", (LAM, 9, None), P9
     sign = (ArgumentError, "sign must be '+' or '-', got 'x'")
     yield "make_label", "sign", (LAM, 3, "x"), sign
     yield "make_label", "p=9,sign", (LAM, 9, "x"), sign
@@ -221,6 +216,11 @@ def _rows():
         ArgumentError, "calibration needs n_max >= 3 (both scans pass below n = 3), got 2")
     yield "Partition.remove", "(1,2)", (LAM, (1, 2)), (ArgumentError, "(1, 2) is not a removable node of 3,1")
     yield "Partition.add", "(2,3)", (LAM, (2, 3)), (ArgumentError, "(2, 3) is not an addable node of 3,1")
+    # p is bounded before any trial division: 65521 is the largest prime
+    # accepted, 65537 the next prime, and 2**61 - 1 a prime far above both
+    yield "validate_prime", "p=65521", (65521,), None
+    for value in (65537, 2**61 - 1):
+        yield "validate_prime", f"p={value}", (value,), (OddPrimeRequired, f"p must be at most 65536, got {value}")
     yield "classify_tensor", "None,None", (None, None), not_label
     yield "classify_tensor", "label,None", (label, None), not_label
 

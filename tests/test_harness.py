@@ -1,7 +1,9 @@
 """Verification harness: registry, sweeps, reports, sharding, calibration."""
 
 import hashlib
+import inspect
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -9,15 +11,18 @@ import modpart.harness as harness
 from modpart import (
     CHECK_ORDER,
     CHECKS,
+    EMPTY,
     Orientation,
     Partition,
     calibration_report,
-    classify_nodes,
+    conjugate,
+    enumerate_js,
     merge_reports,
     run_all,
     run_check,
 )
-from modpart.errors import SweepTooLarge
+from modpart.errors import InternalInconsistency, SweepTooLarge
+from modpart.labels import ClassificationOutcome, ReasonCode, Verdict
 from test_mullineux import _run_fresh
 
 
@@ -27,6 +32,11 @@ def _no_elapsed(d: dict) -> dict:
 
 
 class TestRegistry:
+    def test_every_check_takes_only_its_run(self):
+        # the scan comes with the run a check is handed, never as an argument
+        for check in CHECKS.values():
+            assert list(inspect.signature(check.fn).parameters) == ["n", "p", "run"], check.id
+
     def test_ids(self):
         assert CHECK_ORDER == (
             "MULLX",
@@ -245,13 +255,111 @@ class TestRunAll:
         assert [r.id for r in reports] == ["L52"] and reports[0].passed
 
 
+def _raise(*args, **kwargs):
+    raise InternalInconsistency("injected fault")
+
+
+def _shifted_fixed_flags(real, n, p):
+    # is_mullineux_fixed answering for the next JS partition of n: as many
+    # partitions are fixed as before, but not the right ones
+    js = list(enumerate_js(n, p))
+    flags = [real(lam, p) for lam in js]
+    shifted = dict(zip(js, flags[1:] + flags[:1]))
+    return lambda lam, q: shifted[lam]
+
+
+def _rotated_epsilon(real, n, p):
+    # classifications whose eps is shifted by one residue
+    def classify(lam, q, orientation):
+        nc = real(lam, q, orientation)
+        return replace(nc, epsilon=nc.epsilon[1:] + nc.epsilon[:1])
+
+    return classify
+
+
+def _outcome(verdict, nu=None, reason=None):
+    return lambda d1, d2: ClassificationOutcome(verdict, nu, reason)
+
+
+# (row id, check id, n, p, the name harness binds a kernel under, the fault
+# built from the real kernel, n and p). Each fault makes the check report the
+# counterexample lines its row names, without changing what it counts.
+FAULTS = [
+    ("L52", "L52", 6, 5, "node_counts", lambda real, n, p: lambda lam, q: (real(lam, q)[0], real(lam, q)[1] + (1,))),
+    ("L47", "L47", 6, 5, "_tilde_f", lambda real, n, p: lambda lam, i, q, o: None),
+    ("L12", "L12", 6, 5, "residue", lambda real, n, p: lambda node, q: (real(node, q) + 1) % q),
+    ("L17-counts", "L17", 6, 5, "mullineux_image", lambda real, n, p: lambda lam, q: lam),
+    ("L17-intertwining", "L17", 6, 5, "mullineux_image",
+     lambda real, n, p: lambda lam, q: real(lam, q) if lam.size == n else conjugate(lam)),
+    ("L17-exception", "L17", 6, 5, "mullineux_image", lambda real, n, p: _raise),
+    ("L23-congruence", "L23", 6, 3, "is_mullineux_fixed", _shifted_fixed_flags),
+    ("L23-height", "L23", 24, 5, "is_mullineux_fixed", _shifted_fixed_flags),
+    ("L29-root", "L29", 11, 5, "_classify", _rotated_epsilon),
+    ("L29-first-layer", "L29", 11, 5, "_tilde_e", lambda real, n, p: lambda nc, i: nc.partition),
+    ("L29-second-layer", "L29", 11, 5, "_tilde_e",
+     lambda real, n, p: lambda nc, i: real(nc, i) if nc.partition.size == n else nc.partition),
+    ("L29-commutation", "L29", 11, 5, "_tilde_e",
+     lambda real, n, p: lambda nc, i: None if nc.partition.size == n - 2 else real(nc, i)),
+    ("L18", "L18", 7, 5, "is_js", lambda real, n, p: lambda lam, q: True),
+    ("L20A", "L20A", 7, 5, "is_mullineux_fixed", lambda real, n, p: lambda lam, q: True),
+    ("JSEQ", "JSEQ", 6, 5, "is_js_arith", lambda real, n, p: lambda lam, q: not real(lam, q)),
+    ("MULLX", "MULLX", 2, 3, "_mullineux_image", lambda real, n, p: lambda lam, q, run, choice="smallest": (
+        Partition((1,) * max(q, lam.size + 1)) if choice == "smallest" else EMPTY)),
+    ("CLOSED", "CLOSED", 6, 5, "_mullineux_image", lambda real, n, p: lambda lam, q, run, choice="smallest": lam),
+    ("NUWF-swap-and-nu", "NUWF", 11, 5, "classify_tensor", lambda real, n, p: lambda d1, d2: ClassificationOutcome(
+        Verdict.IRREDUCIBLE, Partition((1,) if d1.sign else (2,)))),
+    ("NUWF-singular-nu", "NUWF", 11, 5, "classify_tensor",
+     lambda real, n, p: _outcome(Verdict.IRREDUCIBLE, Partition((1,) * 5))),
+    ("NUWF-n-divisible", "NUWF", 10, 5, "classify_tensor",
+     lambda real, n, p: _outcome(Verdict.NOT_IRREDUCIBLE, reason=ReasonCode.BOTH_NONSPLIT)),
+    ("NUWF-reducible", "NUWF", 11, 5, "classify_tensor",
+     lambda real, n, p: _outcome(Verdict.NOT_IRREDUCIBLE, reason=ReasonCode.BOTH_NONSPLIT)),
+]
+
+# (row id, check id, n, p, fault or None): cells that a check's scope guard
+# turns away, with no instance. The natural label (n - 1, 1) is never its own
+# Mullineux image at p = 5, so NUWF's guard for it runs only under a fault.
+GUARDS = [
+    ("L29-p3", "L29", 11, 3, None),
+    ("L18-n3", "L18", 3, 5, None),
+    ("L20A-p3", "L20A", 7, 3, None),
+    ("JSEQ-empty", "JSEQ", 0, 5, None),
+    ("NUWF-p3", "NUWF", 11, 3, None),
+    ("NUWF-n4", "NUWF", 4, 5, None),
+    ("NUWF-natural-fixed", "NUWF", 11, 5, ("is_mullineux_fixed", lambda real, n, p: lambda lam, q: True)),
+]
+
+
+class TestInjectedFaults:
+    # one fault per row, injected into a kernel as harness binds it, so that
+    # every counterexample line of every check runs at least once
+    @pytest.mark.parametrize("cid,n,p,name,fault", [r[1:] for r in FAULTS], ids=[r[0] for r in FAULTS])
+    def test_fault_is_reported(self, monkeypatch, cid, n, p, name, fault):
+        clean = run_check(cid, n_min=n, n_max=n, primes=(p,))
+        assert clean.passed and clean.instances > 0
+        monkeypatch.setattr(harness, name, fault(getattr(harness, name), n, p))
+        rep = run_check(cid, n_min=n, n_max=n, primes=(p,))
+        assert rep.counterexamples_total > 0
+        assert rep.instances == clean.instances
+        for cx in rep.counterexamples:
+            assert set(cx) == {"p", "n", "partition", "observed", "expected"}
+
+    @pytest.mark.parametrize("cid,n,p,fault", [r[1:] for r in GUARDS], ids=[r[0] for r in GUARDS])
+    def test_guard_counts_nothing(self, monkeypatch, cid, n, p, fault):
+        if fault:
+            name, make = fault
+            monkeypatch.setattr(harness, name, make(getattr(harness, name), n, p))
+        rep = run_check(cid, n_min=n, n_max=n, primes=(p,))
+        assert rep.passed and rep.instances == 0
+
+
 class TestClosedCells:
     def test_flipped_scan_cells_digest_pinned(self):
         # the reference report keeps only the first counterexample of the
         # flipped scan; this pins the order and the text of every one, at the
         # cells where the two-row cases join the one-row case
         cells = [
-            harness.CHECKS["CLOSED"].fn(n, 5, classify_nodes, orientation=Orientation.TOP_DOWN)
+            harness.CHECKS["CLOSED"].fn(n, 5, harness._new_classifier(Orientation.TOP_DOWN))
             for n in (12, 13, 14)
         ]
         for n, (inst, cxs, details) in zip((12, 13, 14), cells):

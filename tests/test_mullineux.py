@@ -38,7 +38,6 @@ from modpart import (
     tilde_e,
     tilde_f,
 )
-from modpart.branching import _classify
 from modpart.mullineux import _mullineux_image
 from modpart.errors import (
     InternalInconsistency,
@@ -231,8 +230,8 @@ class TestInvolutionAndFriends:
     def test_residue_choice_irrelevant(self):
         for n in range(1, 10):
             for lam in enumerate_partitions(n, 5, regular_only=True):
-                a = _mullineux_image(lam, 5, classify_nodes, "smallest")
-                b = _mullineux_image(lam, 5, classify_nodes, "largest")
+                a = _mullineux_image(lam, 5, harness._new_classifier(), "smallest")
+                b = _mullineux_image(lam, 5, harness._new_classifier(), "largest")
                 assert a == b == mullineux_image(lam, 5)
 
     def test_f_compatibility(self):
@@ -314,16 +313,19 @@ class TestContracts:
     def test_bad_residue_choice(self):
         # only the harness picks a residue rule; an unknown one is neither
         with pytest.raises(KeyError):
-            _mullineux_image(parse_partition("3,1"), 5, classify_nodes, "middle")
+            _mullineux_image(parse_partition("3,1"), 5, harness._new_classifier(), "middle")
 
     def test_flipped_orientation_breaks_the_map(self):
         # under the wrong scan the recursion cannot even get started on (3) at p=3
         with pytest.raises(InternalInconsistency):
-            _mullineux_image(parse_partition("3"), 3, classify_nodes, "smallest", Orientation.TOP_DOWN)
+            _mullineux_image(parse_partition("3"), 3, harness._new_classifier(Orientation.TOP_DOWN))
 
     @pytest.mark.parametrize("fn", [mullineux, mullineux_image])
     def test_public_recursion_takes_no_scan_or_residue_rule(self, fn):
         assert list(inspect.signature(fn).parameters) == ["lam", "p"]
+
+    def test_harness_recursion_takes_its_scan_from_the_run(self):
+        assert list(inspect.signature(_mullineux_image).parameters) == ["lam", "p", "run", "residue_choice"]
 
 
 class TestMemo:
@@ -335,14 +337,14 @@ class TestMemo:
             cold[lam] = mullineux(lam, 5)
             # the "largest" rule runs only on the harness path
             monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
-            cold[lam, "largest"] = _mullineux_image(lam, 5, classify_nodes, "largest")
+            cold[lam, "largest"] = _mullineux_image(lam, 5, harness._new_classifier(), "largest")
         monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
         assert run_check("L17", n_min=1, n_max=12, primes=(5,)).passed
         assert run_check("MULLX", n_min=1, n_max=12, primes=(5,)).passed
         for lam in regular:
             warm = mullineux(lam, 5)
             assert warm == cold[lam]
-            assert _mullineux_image(lam, 5, classify_nodes, "largest") == cold[lam, "largest"]
+            assert _mullineux_image(lam, 5, harness._new_classifier(), "largest") == cold[lam, "largest"]
             # each step removes the good node of the smallest normal residue
             cur = lam
             for i in warm.trace:
@@ -356,7 +358,7 @@ class TestMemo:
         # the memo's seed link M(empty) = empty is the only base case, on the
         # public path (smallest) and on the harness path with either rule
         def image(lam):
-            return _mullineux_image(lam, 5, classify_nodes, choice)
+            return _mullineux_image(lam, 5, harness._new_classifier(), choice)
 
         monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
         assert image(EMPTY) == EMPTY
@@ -381,7 +383,7 @@ class TestMemo:
                 monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
                 counted = mullineux_image(lam, p)
                 monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
-                classified = _mullineux_image(lam, p, _classify)
+                classified = _mullineux_image(lam, p, harness._new_classifier())
                 assert counted == classified == mullineux_via_symbol(lam, p), lam
                 cases += 1
         assert cases == {3: 405, 5: 690, 7: 814}[p]  # 1,909 in all

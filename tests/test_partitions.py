@@ -7,6 +7,7 @@ standard tableaux. Order and content are checked against a plain uncapped
 walk over all partitions, filtered by counting each part's copies.
 """
 
+import time
 from functools import lru_cache
 
 import pytest
@@ -275,6 +276,13 @@ class TestPrimeValidation:
         for bad in (2, 4, 9, 15, 1, 0, -3, True):
             with pytest.raises(OddPrimeRequired):
                 validate_prime(bad)
+
+    def test_huge_prime_rejected_at_once(self):
+        # trial division up to sqrt(2**61 - 1) would not end for minutes
+        start = time.perf_counter()
+        with pytest.raises(OddPrimeRequired, match="p must be at most 65536"):
+            validate_prime(2**61 - 1)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestEnumeration:

@@ -40,10 +40,10 @@ from .branching import (
     Classifier,
     Orientation,
     _classify,
+    _node_counts,
     _tilde_e,
     _tilde_f,
     is_js,
-    node_counts,
     removable_nodes,
 )
 from .errors import ArgumentError, ModpartError, SweepTooLarge
@@ -110,7 +110,8 @@ def _check_l52(n: int, p: int, run: Classifier):
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p):
         inst += 1
-        eps, phi = node_counts(lam, p)
+        # the counts core: lam comes from the enumeration and p is checked
+        eps, phi = _node_counts(lam, p)
         se, sp = sum(eps), sum(phi)
         if sp != se + 1:
             cxs.append(_cx(p, n, lam, f"eps_total={se}, phi_total={sp}", "phi_total == eps_total + 1"))

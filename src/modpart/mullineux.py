@@ -184,22 +184,25 @@ def _mullineux_image(lam: Partition, p: int, run: Classifier, residue_choice: Re
 
 def _remove_p_rim(parts: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int, int]:
     """remove_p_rim on a nonempty part tuple, p already validated; returns the rest as parts."""
-    out = list(parts)
-    budget = p
-    for idx in range(len(parts)):
-        below = parts[idx + 1] if idx + 1 < len(parts) else 0
-        stretch = parts[idx] - below + 1 if below >= 1 else parts[idx]
-        take = min(budget, stretch)
-        out[idx] -= take
+    out = []
+    budget, removed = p, 0
+    for x, below in zip(parts, parts[1:] + (0,)):
+        take = x - below + 1 if below else x  # the row's rim stretch
+        if take > budget:
+            take = budget
         budget -= take
-        if budget == 0:
+        if not budget:
             budget = p
-    rest = tuple(x for x in out if x > 0)
-    if any(rest[i] < rest[i + 1] for i in range(len(rest) - 1)) or any(
-        out[i] > 0 and out[i - 1] == 0 for i in range(1, len(out))
-    ):
+        removed += take
+        out.append(x - take)
+    # A row never loses more than its stretch, which is at most its length,
+    # so every remainder is >= 0. The remainders are then weakly decreasing
+    # exactly when the positive ones are weakly decreasing and no positive
+    # one follows a zero: when the rest is a partition and no emptied row
+    # sits above a row that kept nodes.
+    if out != sorted(out, reverse=True):
         raise InternalInconsistency(f"p-rim removal broke {Partition._trusted(parts)} at p={p}: {out}")
-    return rest, sum(parts) - sum(rest), len(parts)
+    return tuple(filter(None, out)), removed, len(parts)
 
 
 def remove_p_rim(lam: Partition, p: int) -> tuple[Partition, int, int]:
@@ -246,10 +249,12 @@ def attach_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
     - e = r and (z_m = p or mu_r = 0) for the last segment (a short last
       segment must empty row r).
     Validity depends only on (k, s, e), so a dynamic program over (segment,
-    start row) counts the boundary sets that pass, from the last segment back
-    to the first, in O(m * r * p) <= O(m * r^2) steps, and rebuilds nu from
-    the unique one; none or several raise ReconstructionFailure. One forward
-    removal checks the result.
+    start row) counts the boundary sets that pass. It runs forward from
+    segment 0 at row 0 over the start rows that passing segments reach, in
+    O(m * r * p) <= O(m * r^2) steps, and keeps for each reached end the
+    segment that reached it, so that nu is rebuilt from the last row back
+    along the unique set; none or several raise ReconstructionFailure. One
+    forward removal checks the result.
     """
     _check_partition(mu)
     validate_prime(p)
@@ -262,33 +267,37 @@ def attach_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
         raise ReconstructionFailure(f"a {p}-rim of {a} nodes needs at most {a // p} segment rows, got r={r}")
     mu_pad = mu + (0,) * (r - len(mu))
     last = a - p * (m - 1)
-    # ways[s]: boundary sets for segments k..m when segment k starts at row s
-    # (rows and segments 0-based). Past row r there is one way to place no
-    # segment, if the last segment may end on row r. found[k, s]: segment k's
-    # end row and top part on such a set.
-    ways = [0] * r + [1 if last == p or mu_pad[-1] == 0 else 0]
-    found: dict[tuple[int, int], tuple[int, int]] = {}
-    for k in range(m - 1, -1, -1):
+    # starts[s]: boundary sets of segments 0..k-1 that pass and leave row s
+    # for segment k to start on (rows and segments 0-based). back[k][s]:
+    # segment k's start row and top part on the last set seen that ends
+    # segment k on row s - 1. When exactly one whole set passes, no other
+    # set reaches an end on it, so the entries read back are that set's.
+    starts = {0: 1}
+    back: list[dict[int, tuple[int, int]]] = []
+    for k in range(m):
         z = p if k < m - 1 else last
         rows_left = r - (m - 1 - k)  # the later segments need a row each
-        later, ways = ways, [0] * (r + 1)
-        for s in range(k, 1 if k == 0 else rows_left):
+        ends: dict[int, int] = {}
+        step: dict[int, tuple[int, int]] = {}
+        for s, w in starts.items():
             for e in range(s, min(s + z, rows_left)):
-                if later[e + 1]:
-                    top = z + mu_pad[e] - (e - s)
-                    if (e == s or top > mu_pad[s]) and (k == 0 or top <= mu_pad[s - 1] + 1):
-                        ways[s] += later[e + 1]
-                        found[k, s] = (e, top)
-    if ways[0] != 1:
+                top = z + mu_pad[e] - (e - s)
+                if (e == s or top > mu_pad[s]) and (k == 0 or top <= mu_pad[s - 1] + 1):
+                    ends[e + 1] = ends.get(e + 1, 0) + w
+                    step[e + 1] = (s, top)
+        back.append(step)
+        starts = ends
+    ways = starts.get(r, 0) if last == p or mu_pad[-1] == 0 else 0
+    if ways != 1:
         raise ReconstructionFailure(
             f"inverse p-rim attachment onto {mu} with (a, r)=({a}, {r}) at p={p} "
-            f"found {ways[0]} candidates"
+            f"found {ways} candidates"
         )
     nu = [0] + [x + 1 for x in mu_pad[:-1]]
-    s = 0
-    for k in range(m):
-        e, nu[s] = found[k, s]
-        s = e + 1
+    s = r
+    for step in reversed(back):
+        s, top = step[s]
+        nu[s] = top
     image = Partition._trusted(nu)
     if _remove_p_rim(image, p) != (mu, a, r):
         raise InternalInconsistency(

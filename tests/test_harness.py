@@ -285,7 +285,7 @@ def _outcome(verdict, nu=None, reason=None):
 # built from the real kernel, n and p). Each fault makes the check report the
 # counterexample lines its row names, without changing what it counts.
 FAULTS = [
-    ("L52", "L52", 6, 5, "node_counts", lambda real, n, p: lambda lam, q: (real(lam, q)[0], real(lam, q)[1] + (1,))),
+    ("L52", "L52", 6, 5, "_node_counts", lambda real, n, p: lambda lam, q: (real(lam, q)[0], real(lam, q)[1] + (1,))),
     ("L47", "L47", 6, 5, "_tilde_f", lambda real, n, p: lambda lam, i, q, o: None),
     ("L12", "L12", 6, 5, "residue", lambda real, n, p: lambda node, q: (real(node, q) + 1) % q),
     ("L17-counts", "L17", 6, 5, "mullineux_image", lambda real, n, p: lambda lam, q: lam),

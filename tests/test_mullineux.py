@@ -11,7 +11,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -123,11 +123,58 @@ class TestSymbols:
             attach_p_rim(Partition((4,)), 3, 2, 5)  # cannot cover row 1's rim
 
 
+def _remove_by_two_scans(parts, p):
+    """The p-rim removal that the one-pass kernel replaced, kept as the test
+    oracle: peel the rim row by row, then reject the result by two scans, one
+    for a rest that is not a partition and one for a row emptied above a row
+    that kept nodes. Returns (rest parts, nodes removed, rows met)."""
+    out = list(parts)
+    budget = p
+    for idx in range(len(parts)):
+        below = parts[idx + 1] if idx + 1 < len(parts) else 0
+        stretch = parts[idx] - below + 1 if below >= 1 else parts[idx]
+        take = min(budget, stretch)
+        out[idx] -= take
+        budget -= take
+        if budget == 0:
+            budget = p
+    rest = tuple(x for x in out if x > 0)
+    if any(rest[i] < rest[i + 1] for i in range(len(rest) - 1)) or any(
+        out[i] > 0 and out[i - 1] == 0 for i in range(1, len(out))
+    ):
+        raise InternalInconsistency(f"p-rim removal broke {Partition._trusted(parts)} at p={p}: {out}")
+    return rest, sum(parts) - sum(rest), len(parts)
+
+
+def _outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+class TestRemovalAgainstTwoScans:
+    # the one-pass removal must give the same value, or the same error class
+    # and text, on every nonempty tuple of parts 1..6 of length <= 5,
+    # partitions or not
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_short_tuple(self, p):
+        cases = broken = 0
+        for length in range(1, 6):
+            for parts in product(range(1, 7), repeat=length):
+                want = _outcome_or_error(_remove_by_two_scans, parts, p)
+                assert _outcome_or_error(MULLINEUX_MODULE._remove_p_rim, parts, p) == want, parts
+                cases += 1
+                broken += want[0] is InternalInconsistency
+        assert (cases, broken) == (9330, {3: 7579, 5: 7924, 7: 8055}[p])
+
+
 def _attach_by_search(mu, a, r, p):
     """The exhaustive inverse p-rim attachment that the segment-boundary DP
     replaced, kept as the test oracle: build nu from every set of segment
     boundary rows and keep the candidates that the forward removal maps back
-    to (mu, a, r)."""
+    to (mu, a, r). The removal is the test's own, so the oracle shares no
+    rim code with the attachment it checks."""
     validate_prime(p)
     if a < r or r < len(mu) or r < 1:
         raise ReconstructionFailure(f"no partition adds a {p}-rim of {a} nodes over {r} rows onto {mu}")
@@ -154,7 +201,7 @@ def _attach_by_search(mu, a, r, p):
             ok = False
         if ok:
             candidate = Partition._trusted(tuple(cand))
-            if remove_p_rim(candidate, p) == (mu, a, r):
+            if _remove_by_two_scans(candidate, p) == (mu, a, r):
                 found.append(candidate)
     uniq = sorted(set(found))
     if len(uniq) != 1:

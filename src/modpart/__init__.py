@@ -13,7 +13,6 @@ from .branching import (
     addable_nodes,
     classify_nodes,
     is_js,
-    node_counts,
     removable_nodes,
     tilde_e,
     tilde_f,
@@ -104,7 +103,6 @@ __all__ = [
     "mullineux_image",
     "mullineux_symbol",
     "mullineux_via_symbol",
-    "node_counts",
     "nu_of",
     "parse_partition",
     "remove_p_rim",

@@ -36,10 +36,10 @@ dropped when the run returns. _tilde_e takes the classification its caller
 already holds, and _tilde_f runs the bracket pass over residue i alone,
 because the images it builds are seldom classified again.
 
-The readers that want only the counts, is_js, node_counts and the public
-Mullineux recursion below its root, take a run walk under the calibrated scan
-and never read a run's cache. A run of the part x
-over rows s..r holds exactly one removable node, (r, x), and one addable node,
+The readers that want only the counts, is_js, the harness's L52 and the
+public Mullineux recursion below its root, take a run walk under the
+calibrated scan and never read a run's cache. A run of the part x over rows
+s..r holds exactly one removable node, (r, x), and one addable node,
 (s, x + 1); the rows strictly between hold no node, and the only other node
 is the addable (h + 1, 1). So the bottom-up word of the row pass is read off
 the runs alone: (h + 1, 1) first, then each run's removable node and its
@@ -227,17 +227,6 @@ def _node_counts(lam: Partition, p: int) -> tuple[tuple[int, ...], tuple[int, ..
             phi[i] += 1
         r = s - 1
     return tuple(eps), tuple(phi)
-
-
-def node_counts(lam: Partition, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(epsilon, phi) of classify_nodes(lam, p), without building the node
-    lists.
-
-    Defined for any partition, p-regular or not.
-    """
-    _check_partition(lam)
-    validate_prime(p)
-    return _node_counts(lam, p)
 
 
 def _check_regular(lam: Partition, p: int, what: str) -> None:

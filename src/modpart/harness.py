@@ -82,7 +82,7 @@ def _new_classifier(orientation: Orientation = CALIBRATED_ORIENTATION) -> Classi
     """One run's signature cache: _classify under one scan, behind an LRU bound.
 
     The bound holds the whole working set of `modpart report` (3,494
-    classifications and 11,553 hits in the calibrated cache that the
+    classifications and 12,171 hits in the calibrated cache that the
     calibration hands on to run_all, 621 and 1,970 in the flipped one) and of
     MULLX at n = 30, p = 5 (11,669 and 5,224), so nothing there is evicted;
     at the sweep ceiling it keeps the cache from filling memory.
@@ -325,7 +325,9 @@ def _check_jseq(n: int, p: int, run: Classifier):
 
 
 def _check_mullx(n: int, p: int, run: Classifier):
-    """Recursion route == symbol route; involution; conjugation for p > n; choice-free."""
+    """Recursion route == symbol route; involution; conjugation for p > n; choice-free:
+    M intertwines e_tilde_i with e_tilde_{-i}, so M(lam) = f_tilde_{-L}(M(e_tilde_L(lam)))
+    for the largest normal residue L too, with M already checked on n - 1."""
     inst, cxs = 0, []
     for lam in enumerate_partitions(n, p, regular_only=True):
         inst += 1
@@ -344,8 +346,11 @@ def _check_mullx(n: int, p: int, run: Classifier):
                 problems.append(f"M(M(lam))={back}")
             if p > n and img != conjugate(lam):
                 problems.append(f"p>n but M(lam)={img} != conjugate {conjugate(lam)}")
-            if _mullineux_image(lam, p, run, "largest") != img:
-                problems.append("depends on the residue choice")
+            if lam:  # lam is now a key of the run's links, so it has a normal residue
+                nc = run.classify(lam, p)
+                L = max(i for i in range(p) if nc.epsilon[i])
+                if _tilde_f(_mullineux_image(_tilde_e(nc, L), p, run), (p - L) % p, p, run.orientation) != img:
+                    problems.append("depends on the residue choice")
             if problems:
                 cxs.append(_cx(p, n, lam, "; ".join(problems), "all Mullineux cross-checks"))
         except ModpartError as e:

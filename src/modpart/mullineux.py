@@ -10,8 +10,8 @@ Below the root, each level reads eps from the normal counts and finds the
 bottom normal i-node by one bracket pass over residue i, without a
 NodeClassification. The verification harness reaches the same recursion
 through _mullineux_image: it descends through its run's Classifier, under
-the scan that run was built with, and it can pick the largest normal
-residue, which MULLX's residue-choice check needs.
+the scan that run was built with. MULLX checks that removing another normal
+residue gives the same image (harness._check_mullx).
 
 Oracle route: the rim symbol. Peel p-rims off lam, recording for each layer
 the pair (a_k = nodes removed, r_k = rows met). The image is the unique
@@ -44,12 +44,6 @@ from .branching import (
 from .errors import EmptyPartition, InternalInconsistency, NotPRegular, ReconstructionFailure
 from .partitions import EMPTY, Partition, _check_int, _check_partition, _regular, validate_prime
 
-ResidueChoice = str  # "smallest" | "largest"
-# The end of the ascending list of normal residues that each choice takes;
-# any other choice is a KeyError, never silently one of the two.
-_PICK = {"smallest": 0, "largest": -1}
-
-
 @dataclass(frozen=True)
 class MullineuxResult:
     """Image plus the good-node residue sequence the recursion followed."""
@@ -65,13 +59,12 @@ def _check_input(lam: Partition, p: int) -> None:
         raise NotPRegular(f"the Mullineux map is defined on p-regular partitions, got {lam} at p={p}")
 
 
-# (p, residue choice, orientation) -> {partition: image}, seeded with
-# M(empty) = empty. One link per partition keeps a chain of n steps at O(n)
-# memory. Links hold images only: mullineux() rebuilds the residue trace on
-# demand by one descent. Public calls all read the calibrated key
-# (p, "smallest", CALIBRATED_ORIENTATION), which the harness's calibrated
-# chains share; only the harness varies the other two entries. The memo is
-# read inline, never through a wrapper function, so each level of the
+# (p, orientation) -> {partition: image}, seeded with M(empty) = empty: one
+# link table per prime and scan, shared by the public calls and the harness's
+# calibrated runs; only the calibration's flipped run reads another. One link
+# per partition keeps a chain of n steps at O(n) memory. Links hold images
+# only: mullineux() rebuilds the residue trace on demand by one descent. The
+# memo is read inline, never through a wrapper function, so each level of the
 # recursion costs one recursion-limit frame. Failures are not stored.
 _MULL_LINKS: dict[tuple, dict[Partition, Partition]] = {}
 
@@ -79,34 +72,30 @@ _MULL_LINKS: dict[tuple, dict[Partition, Partition]] = {}
 # normal residue i that the recursion removes from the nonempty mu. lam == mu
 # is the object the links store: on the harness path the run's cache's own
 # copy, so that the run's links and its classifications share partitions.
-# The harness binds _classified_step to its run and residue rule.
 Descent = Callable[[Partition, int], tuple[Partition, int, Partition]]
 
 
-def _good_residue(
-    lam: Partition, p: int, epsilon: tuple[int, ...], choice: ResidueChoice, orientation: Orientation
-) -> int:
-    """The normal residue the recursion removes from the nonempty lam with
-    normal counts epsilon: the smallest or largest i with eps_i > 0."""
+def _good_residue(lam: Partition, p: int, epsilon: tuple[int, ...], orientation: Orientation) -> int:
+    """The smallest i with eps_i > 0: the residue the recursion removes from lam."""
     candidates = [i for i in range(p) if epsilon[i] > 0]
     if not candidates:
         raise InternalInconsistency(
             f"nonempty p-regular partition {lam} has no normal node at p={p} ({orientation.value} scan)"
         )
-    return candidates[_PICK[choice]]
+    return candidates[0]
 
 
-def _classified_step(run: Classifier, choice: ResidueChoice, mu: Partition, p: int) -> tuple[Partition, int, Partition]:
+def _classified_step(run: Classifier, mu: Partition, p: int) -> tuple[Partition, int, Partition]:
     """One level of the harness's descent, read off run's classification of mu."""
     nc = run.classify(mu, p)
-    i = _good_residue(nc.partition, p, nc.epsilon, choice, run.orientation)
+    i = _good_residue(nc.partition, p, nc.epsilon, run.orientation)
     return nc.partition, i, _tilde_e(nc, i)
 
 
 def _count_step(lam: Partition, p: int) -> tuple[Partition, int, Partition]:
     """One level of the public descent (calibrated scan, smallest normal
     residue) from the normal counts and one bracket pass over residue i."""
-    i = _good_residue(lam, p, _node_counts(lam, p)[0], "smallest", CALIBRATED_ORIENTATION)
+    i = _good_residue(lam, p, _node_counts(lam, p)[0], CALIBRATED_ORIENTATION)
     _check_regular(lam, p, "tilde_e")
     return lam, i, lam.remove(_bottom_normal(lam, i, p))
 
@@ -159,25 +148,23 @@ def mullineux_image(lam: Partition, p: int) -> Partition:
     # limit into RecursionErrors. The root is classified through the public
     # classify_nodes, whose span perfbench's tracer test expects under this
     # call; the levels below it are counted.
-    links = _MULL_LINKS.setdefault((p, "smallest", CALIBRATED_ORIENTATION), {EMPTY: EMPTY})
+    links = _MULL_LINKS.setdefault((p, CALIBRATED_ORIENTATION), {EMPTY: EMPTY})
     image = links.get(lam)
     if image is None:
         nc = classify_nodes(lam, p)
-        i = _good_residue(lam, p, nc.epsilon, "smallest", CALIBRATED_ORIENTATION)
+        i = _good_residue(lam, p, nc.epsilon, CALIBRATED_ORIENTATION)
         image = _mull(lam, i, _tilde_e(nc, i), _count_step, links, p, CALIBRATED_ORIENTATION)
     return image
 
 
-def _mullineux_image(lam: Partition, p: int, run: Classifier, residue_choice: ResidueChoice = "smallest") -> Partition:
+def _mullineux_image(lam: Partition, p: int, run: Classifier) -> Partition:
     """mullineux_image for checked arguments, descending through run, a
     verification run's Classifier, so that the run's later checks read what
-    the recursion classified. Every step and lift takes run's scan;
-    residue_choice ("smallest" or "largest") picks the normal residue of
-    each step."""
-    links = _MULL_LINKS.setdefault((p, residue_choice, run.orientation), {EMPTY: EMPTY})
+    the recursion classified. Every step and lift takes run's scan."""
+    links = _MULL_LINKS.setdefault((p, run.orientation), {EMPTY: EMPTY})
     image = links.get(lam)
     if image is None:
-        descend = partial(_classified_step, run, residue_choice)
+        descend = partial(_classified_step, run)
         image = _mull(*descend(lam, p), descend, links, p, run.orientation)
     return image
 

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 from .errors import (
     ArgumentError,
     EmptyPartition,
+    InternalInconsistency,
     MalformedPartition,
     NonPositivePart,
     NotWeaklyDecreasing,
@@ -331,5 +332,6 @@ def specht_dimension(lam: Partition) -> int:
         for c in range(1, length + 1):
             prod *= (length - c) + (conj[c - 1] - r) + 1
     num = factorial(lam.size)
-    assert num % prod == 0
+    if num % prod:
+        raise InternalInconsistency(f"hook product {prod} of {lam} does not divide {lam.size}!")
     return num // prod

@@ -24,14 +24,13 @@ from modpart import (
     enumerate_partitions,
     is_js,
     is_p_regular,
-    node_counts,
     parse_partition,
     removable_nodes,
     residue,
     tilde_e,
     tilde_f,
 )
-from modpart.branching import _bottom_normal, _classify, _tilde_f, _top_conormal
+from modpart.branching import _bottom_normal, _classify, _node_counts, _tilde_f, _top_conormal
 from modpart.errors import EmptyPartition, NotPRegular
 
 
@@ -328,16 +327,16 @@ class TestNodeCounts:
             for lam in enumerate_partitions(n, p):
                 singular += not is_p_regular(lam, p)
                 nc = classify_nodes(lam, p)
-                assert node_counts(lam, p) == (nc.epsilon, nc.phi), lam
+                assert _node_counts(lam, p) == (nc.epsilon, nc.phi), lam
                 cases += 1
         assert cases == 4508
         assert singular > 0
 
     def test_empty_and_a_run_of_p_rows(self):
-        assert node_counts(EMPTY, 5) == ((0, 0, 0, 0, 0), (1, 0, 0, 0, 0))
+        assert _node_counts(EMPTY, 5) == ((0, 0, 0, 0, 0), (1, 0, 0, 0, 0))
         # (3,1) and (1,2) are both 1-nodes: bottom-up the removable one comes
         # first and the addable one cancels it
-        assert node_counts(Partition((1, 1, 1)), 3) == ((0, 0, 0), (1, 0, 0))
+        assert _node_counts(Partition((1, 1, 1)), 3) == ((0, 0, 0), (1, 0, 0))
 
 
 class TestJsSignature:

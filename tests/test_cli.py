@@ -352,10 +352,14 @@ class TestReport:
     def test_calibration_hands_its_cache_to_run_all(self, capsys, monkeypatch):
         # report builds one calibrated signature cache, which the calibration
         # hands on to run_all, and the calibration builds one flipped cache;
-        # report-default's query_p50_ms rests on the hand-off. The misses and
-        # hits sum to those of the single shared cache they replaced (4,115
-        # and 13,523). The Mullineux memo starts empty, so that what earlier
-        # tests linked does not spare the recursion its classifications.
+        # report-default's query_p50_ms rests on the hand-off. The misses sum
+        # to those of the single shared cache they replaced (4,115). MULLX's
+        # residue-choice check reads each nonempty partition it visits once,
+        # after the recursion has classified it: 3,810 hits in the calibrated
+        # cache and 248 in the flipped one, where a second recursion under
+        # the largest residue used to read 3,192 and 248. The Mullineux memo
+        # starts empty, so that what earlier tests linked does not spare the
+        # recursion its classifications.
         built = []
         new_classifier = harness._new_classifier
 
@@ -369,7 +373,7 @@ class TestReport:
         code, _, _ = run_cli(capsys, "report")
         assert code == 0
         work = [(run.orientation, run.classify.cache_info()[:2]) for run in built]
-        assert work == [(Orientation.BOTTOM_UP, (11553, 3494)), (Orientation.TOP_DOWN, (1970, 621))]
+        assert work == [(Orientation.BOTTOM_UP, (12171, 3494)), (Orientation.TOP_DOWN, (1970, 621))]
 
     def test_max_n_3_is_exit_0(self, capsys):
         # the smallest bound at which the calibration can single out a scan

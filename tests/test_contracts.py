@@ -1,7 +1,7 @@
 """The input contract of every public entry point, as one table.
 
 Each row calls one public function (or one test-local entry from LOCAL,
-which names what the package computes inline or a method of Partition) with
+which names what the package computes internally or a method of Partition) with
 one bad input (or a combination of two, which pins the order in which the
 checks run) and names the exact error class and message it raises, or None
 when the input is accepted. A bad argument other than a partition or a
@@ -94,10 +94,17 @@ def _canonical_label(lam, p):
     return max(lam, modpart.mullineux_image(lam, p))
 
 
-# test-local entries: what the package computes inline rather than exports,
+def _node_counts(lam, p):
+    """(epsilon, phi) of lam, as the package's count readers (is_js, L52) take them."""
+    nc = modpart.classify_nodes(lam, p)
+    return nc.epsilon, nc.phi
+
+
+# test-local entries: what the package computes internally rather than exports,
 # and the node methods of Partition
 LOCAL = {
     "canonical_label": _canonical_label,
+    "node_counts": _node_counts,
     "Partition.remove": Partition.remove,
     "Partition.add": Partition.add,
 }

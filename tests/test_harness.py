@@ -11,7 +11,6 @@ import modpart.harness as harness
 from modpart import (
     CHECK_ORDER,
     CHECKS,
-    EMPTY,
     Orientation,
     Partition,
     calibration_report,
@@ -303,9 +302,9 @@ FAULTS = [
     ("L18", "L18", 7, 5, "is_js", lambda real, n, p: lambda lam, q: True),
     ("L20A", "L20A", 7, 5, "is_mullineux_fixed", lambda real, n, p: lambda lam, q: True),
     ("JSEQ", "JSEQ", 6, 5, "is_js_arith", lambda real, n, p: lambda lam, q: not real(lam, q)),
-    ("MULLX", "MULLX", 2, 3, "_mullineux_image", lambda real, n, p: lambda lam, q, run, choice="smallest": (
-        Partition((1,) * max(q, lam.size + 1)) if choice == "smallest" else EMPTY)),
-    ("CLOSED", "CLOSED", 6, 5, "_mullineux_image", lambda real, n, p: lambda lam, q, run, choice="smallest": lam),
+    ("MULLX", "MULLX", 2, 3, "_mullineux_image", lambda real, n, p: lambda lam, q, run: (
+        real(lam, q, run) if lam.size < n else Partition((1,) * max(q, lam.size + 1)))),
+    ("CLOSED", "CLOSED", 6, 5, "_mullineux_image", lambda real, n, p: lambda lam, q, run: lam),
     ("NUWF-swap-and-nu", "NUWF", 11, 5, "classify_tensor", lambda real, n, p: lambda d1, d2: ClassificationOutcome(
         Verdict.IRREDUCIBLE, Partition((1,) if d1.sign else (2,)))),
     ("NUWF-singular-nu", "NUWF", 11, 5, "classify_tensor",

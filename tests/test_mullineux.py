@@ -18,6 +18,7 @@ import pytest
 
 import modpart.harness as harness
 from modpart import (
+    CALIBRATED_ORIENTATION,
     EMPTY,
     MullineuxResult,
     Orientation,
@@ -34,6 +35,7 @@ from modpart import (
     mullineux_via_symbol,
     parse_partition,
     remove_p_rim,
+    run_all,
     run_check,
     tilde_e,
     tilde_f,
@@ -275,11 +277,20 @@ class TestInvolutionAndFriends:
                 assert mullineux_via_symbol(lam, p) == mullineux_image(lam, p)
 
     def test_residue_choice_irrelevant(self):
-        for n in range(1, 10):
-            for lam in enumerate_partitions(n, 5, regular_only=True):
-                a = _mullineux_image(lam, 5, harness._new_classifier(), "smallest")
-                b = _mullineux_image(lam, 5, harness._new_classifier(), "largest")
-                assert a == b == mullineux_image(lam, 5)
+        # the recursion removes the smallest normal residue; M intertwines
+        # e_tilde_i with e_tilde_{-i}, so every normal residue i gives the
+        # same image: M(lam) = f_tilde_{-i}(M(e_tilde_i(lam)))
+        cases = {}
+        for p in (3, 5, 7):
+            for n in range(1, 13):
+                for lam in enumerate_partitions(n, p, regular_only=True):
+                    img = mullineux_image(lam, p)
+                    eps = classify_nodes(lam, p).epsilon
+                    for i in range(p):
+                        if eps[i]:
+                            assert tilde_f(mullineux_image(tilde_e(lam, i, p), p), (p - i) % p, p) == img, (lam, p, i)
+                            cases[p] = cases.get(p, 0) + 1
+        assert cases == {3: 193, 5: 373, 7: 486}
 
     def test_f_compatibility(self):
         # the recursion is built on e-tilde; check the f-tilde side independently
@@ -357,11 +368,6 @@ class TestContracts:
         with pytest.raises(NotPRegular):
             mullineux_symbol(Partition((1, 1, 1, 1, 1)), 5)
 
-    def test_bad_residue_choice(self):
-        # only the harness picks a residue rule; an unknown one is neither
-        with pytest.raises(KeyError):
-            _mullineux_image(parse_partition("3,1"), 5, harness._new_classifier(), "middle")
-
     def test_flipped_orientation_breaks_the_map(self):
         # under the wrong scan the recursion cannot even get started on (3) at p=3
         with pytest.raises(InternalInconsistency):
@@ -372,7 +378,7 @@ class TestContracts:
         assert list(inspect.signature(fn).parameters) == ["lam", "p"]
 
     def test_harness_recursion_takes_its_scan_from_the_run(self):
-        assert list(inspect.signature(_mullineux_image).parameters) == ["lam", "p", "run", "residue_choice"]
+        assert list(inspect.signature(_mullineux_image).parameters) == ["lam", "p", "run"]
 
 
 class TestMemo:
@@ -382,16 +388,12 @@ class TestMemo:
         for lam in regular:
             monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
             cold[lam] = mullineux(lam, 5)
-            # the "largest" rule runs only on the harness path
-            monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
-            cold[lam, "largest"] = _mullineux_image(lam, 5, harness._new_classifier(), "largest")
         monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
         assert run_check("L17", n_min=1, n_max=12, primes=(5,)).passed
         assert run_check("MULLX", n_min=1, n_max=12, primes=(5,)).passed
         for lam in regular:
             warm = mullineux(lam, 5)
             assert warm == cold[lam]
-            assert _mullineux_image(lam, 5, harness._new_classifier(), "largest") == cold[lam, "largest"]
             # each step removes the good node of the smallest normal residue
             cur = lam
             for i in warm.trace:
@@ -400,23 +402,29 @@ class TestMemo:
                 cur = tilde_e(cur, i, 5)
             assert cur == EMPTY
 
-    @pytest.mark.parametrize("choice", ["smallest", "largest"])
-    def test_empty_partition_on_a_fresh_memo(self, monkeypatch, choice):
+    def test_empty_partition_on_a_fresh_memo(self, monkeypatch):
         # the memo's seed link M(empty) = empty is the only base case, on the
-        # public path (smallest) and on the harness path with either rule
+        # harness path and on the public path
         def image(lam):
-            return _mullineux_image(lam, 5, harness._new_classifier(), choice)
+            return _mullineux_image(lam, 5, harness._new_classifier())
 
         monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
         assert image(EMPTY) == EMPTY
         monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
         assert image(Partition((1,))) == Partition((1,))
-        if choice == "smallest":
-            monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
-            assert mullineux_image(EMPTY, 5) == EMPTY
-            monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
-            assert mullineux(EMPTY, 5) == MullineuxResult(image=EMPTY, trace=())
-            assert mullineux_image(Partition((1,)), 5) == Partition((1,))
+        monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+        assert mullineux_image(EMPTY, 5) == EMPTY
+        monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", {})
+        assert mullineux(EMPTY, 5) == MullineuxResult(image=EMPTY, trace=())
+        assert mullineux_image(Partition((1,)), 5) == Partition((1,))
+
+    def test_run_all_leaves_one_link_table_per_prime(self, monkeypatch):
+        # the harness and the public recursion share one link table per
+        # (p, scan); a run at default sweeps reads only calibrated ones
+        links = {}
+        monkeypatch.setattr(MULLINEUX_MODULE, "_MULL_LINKS", links)
+        assert all(rep.passed for rep in run_all())
+        assert set(links) == {(p, CALIBRATED_ORIENTATION) for p in (3, 5, 7)}
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_counted_descent_matches_classified_descent(self, monkeypatch, p):

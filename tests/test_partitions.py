@@ -32,6 +32,7 @@ from modpart import (
 )
 from modpart.errors import (
     EmptyPartition,
+    InternalInconsistency,
     MalformedPartition,
     NonPositivePart,
     NotWeaklyDecreasing,
@@ -390,6 +391,13 @@ class TestSpechtDimension:
     def test_empty_rejected(self):
         with pytest.raises(EmptyPartition):
             specht_dimension(EMPTY)
+
+    def test_hook_product_that_does_not_divide_is_named(self, monkeypatch):
+        # a raised error, not an assert, so that python -O keeps the check;
+        # with the conjugate faked as (3,3,3), (3,1) has the hook 5 in (1,1)
+        monkeypatch.setattr(modpart.partitions, "conjugate", lambda lam: (3, 3, 3))
+        with pytest.raises(InternalInconsistency, match="does not divide 4!"):
+            specht_dimension(Partition((3, 1)))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_corner_peeling_oracle(self, n):

@@ -9,7 +9,7 @@ partitions with n in [200, 600] and checks, on each lambda:
   p-weight (D^lambda (x) sgn = D^{M(lambda)}, and blocks are p-cores);
 and on lambda and on M(lambda):
 - the signature and arithmetic JS tests agree;
-- node_counts gives classify_nodes' counts, with one more conormal node than
+- the counts walk _node_counts gives classify_nodes' counts, with one more conormal node than
   normal nodes (the draws have 12 to 44 rows, in runs up to p - 1 long);
 - tilde_f adds the top conormal node of classify_nodes, for every residue.
 
@@ -32,10 +32,10 @@ from modpart import (
     is_p_regular,
     mullineux_image,
     mullineux_via_symbol,
-    node_counts,
     tilde_e,
     tilde_f,
 )
+from modpart.branching import _node_counts
 
 PRIMES = (3, 5, 7)
 DRAWS_PER_PRIME = 8
@@ -140,8 +140,8 @@ def test_routes_agree_and_the_map_is_an_involution(draws, p):
 def test_l17_negates_residues_and_intertwines_tilde_e(draws, p):
     for lam in draws[p]:
         image = mullineux_image(lam, p)
-        eps, phi = node_counts(lam, p)
-        eps_m, phi_m = node_counts(image, p)
+        eps, phi = _node_counts(lam, p)
+        eps_m, phi_m = _node_counts(image, p)
         for i in range(p):
             assert (eps[i], phi[i]) == (eps_m[-i % p], phi_m[-i % p]), (lam, i)
             if eps[i]:
@@ -161,7 +161,7 @@ def test_signature_facts_on_the_draw_and_its_image(draws, p):
         for mu in (lam, mullineux_image(lam, p)):
             assert is_js(mu, p) == is_js_arith(mu, p), mu
             nc = classify_nodes(mu, p)
-            assert node_counts(mu, p) == (nc.epsilon, nc.phi), mu
+            assert _node_counts(mu, p) == (nc.epsilon, nc.phi), mu
             assert sum(nc.phi) == sum(nc.epsilon) + 1, mu
             for i in range(p):
                 want = mu.add(nc.conormal[i][0]) if nc.conormal[i] else None
